@@ -112,8 +112,9 @@ BM_FacadeBatchReplay(benchmark::State &state)
 {
     const sim::Session simulator;
     const auto request = microRequest(simulator);
-    cpu::Trace trace;
-    simulator.run(request, &trace);
+    cpu::TraceCollector collector;
+    simulator.run(request, &collector);
+    const cpu::Trace &trace = collector.trace();
     for (auto _ : state) {
         auto result = simulator.replay(trace, request);
         benchmark::DoNotOptimize(result);

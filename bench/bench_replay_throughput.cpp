@@ -30,18 +30,27 @@
  * tracing armed vs disarmed (interleaved arms) and the run fails
  * past --max-telemetry-overhead PCT (default 2).
  *
+ * A trace_io row times writeTraceFile and readTraceFile per op on the
+ * GPT-L3 4:4 trace, gated like the replay rate against the latest
+ * entry (skipped while that entry has no trace_io row).  Every entry
+ * records the host (usable CPUs and CPU model) beside the
+ * calibration.
+ *
  * Usage: bench_replay_throughput [--smoke] [--out FILE]
  *        [--threads N] [--commit KEY] [--baseline FILE]
  *        [--max-regress PCT] [--max-telemetry-overhead PCT]
  */
 
+#include <sched.h>
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -50,6 +59,7 @@
 #include <vector>
 
 #include "cpu/lane_replayer.hpp"
+#include "cpu/trace_io.hpp"
 #include "engine/config.hpp"
 #include "sim/pool.hpp"
 #include "sim/session.hpp"
@@ -129,20 +139,97 @@ measureBatch(const sim::Session &simulator, PointResult &out,
              int reps)
 {
     const auto request = requestFor(simulator, out.point);
-    cpu::Trace trace;
-    simulator.run(request, &trace);
+    cpu::TraceCollector collector;
+    simulator.run(request, &collector);
+    const cpu::Trace &trace = collector.trace();
     VEGETA_ASSERT(trace.size() == out.uops,
                   "batch and streaming runs generated different "
                   "op counts");
     for (int r = 0; r < reps; ++r) {
         const auto t0 = Clock::now();
-        const auto result = simulator.replay(trace, request);
+        const auto replayed = simulator.replay(trace, request);
         const auto t1 = Clock::now();
-        VEGETA_ASSERT(result.instructions == trace.size(),
+        VEGETA_ASSERT(replayed.result.instructions == trace.size(),
                       "replay consumed a different op count");
         out.batchUopsPerSec = std::max(
             out.batchUopsPerSec, trace.size() / seconds(t0, t1));
     }
+}
+
+/** The trace_io row: one trace file written and read back, per op. */
+struct TraceIoRow
+{
+    u64 ops = 0;
+    double writeNsPerOp = 0;
+    double readNsPerOp = 0;
+};
+
+/**
+ * writeTraceFile / readTraceFile on the GPT-L3 4:4 trace (the
+ * heaviest Table IV layer, as the layer ledger times it), best of
+ * @p reps round trips through a temp file.
+ */
+TraceIoRow
+measureTraceIo(const sim::Session &simulator, int reps)
+{
+    const auto request = simulator.request()
+                             .workload("GPT-L3")
+                             .engine("VEGETA-S-16-2")
+                             .pattern(4)
+                             .build();
+    VEGETA_ASSERT(request.has_value(), "invalid trace_io request");
+    cpu::TraceCollector collector;
+    simulator.run(*request, &collector);
+    const cpu::Trace &trace = collector.trace();
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("vegeta_bench_trace_io_" + std::to_string(getpid()) +
+          ".vgtr"))
+            .string();
+    TraceIoRow row;
+    row.ops = trace.size();
+    for (int r = 0; r < reps; ++r) {
+        const auto t0 = Clock::now();
+        VEGETA_ASSERT(cpu::writeTraceFile(path, trace),
+                      "cannot write ", path);
+        const auto t1 = Clock::now();
+        const auto back = cpu::readTraceFile(path);
+        const auto t2 = Clock::now();
+        VEGETA_ASSERT(back && back->size() == trace.size(),
+                      "trace_io round trip lost ops");
+        const double write_ns = seconds(t0, t1) * 1e9 / row.ops;
+        const double read_ns = seconds(t1, t2) * 1e9 / row.ops;
+        if (r == 0 || write_ns < row.writeNsPerOp)
+            row.writeNsPerOp = write_ns;
+        if (r == 0 || read_ns < row.readNsPerOp)
+            row.readNsPerOp = read_ns;
+    }
+    std::filesystem::remove(path);
+    return row;
+}
+
+/** The host fingerprint: usable CPUs and the CPU model name. */
+std::string
+hostJson()
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    const int nproc = sched_getaffinity(0, sizeof set, &set) == 0
+                          ? CPU_COUNT(&set)
+                          : int(std::thread::hardware_concurrency());
+    std::string model = "unknown";
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    for (std::string line; std::getline(cpuinfo, line);) {
+        if (line.rfind("model name", 0) == 0) {
+            const auto colon = line.find(':');
+            if (colon != std::string::npos)
+                model = line.substr(line.find_first_not_of(
+                    " \t", colon + 1));
+            break;
+        }
+    }
+    return "{\"nproc\": " + std::to_string(nproc) +
+           ", \"cpu_model\": \"" + sim::jsonEscape(model) + "\"}";
 }
 
 } // namespace
@@ -289,9 +376,9 @@ main(int argc, char **argv)
         std::vector<engine::EngineConfig> lane_engines;
         for (std::size_t p = 0; p < lane_point_count; ++p) {
             const auto request = requestFor(simulator, points[p]);
-            cpu::Trace trace;
-            simulator.run(request, &trace);
-            lane_traces.push_back(std::move(trace));
+            cpu::TraceCollector collector;
+            simulator.run(request, &collector);
+            lane_traces.push_back(collector.take());
             const auto engine_config =
                 engine::configByName(points[p].engine);
             VEGETA_ASSERT(engine_config.has_value(),
@@ -382,6 +469,15 @@ main(int argc, char **argv)
                     telemetry_disarmed / 1e6, telemetry_traced / 1e6,
                     telemetry_overhead_pct);
     }
+
+    // Best of at least five even in smoke mode: a round trip costs
+    // ~40 ms, and the gate compares this row on its own.
+    const TraceIoRow trace_io =
+        measureTraceIo(simulator, std::max(reps, 5));
+    std::printf("trace_io: GPT-L3 4:4, %zu ops  write %.1f ns/op  "
+                "read %.1f ns/op\n",
+                static_cast<size_t>(trace_io.ops),
+                trace_io.writeNsPerOp, trace_io.readNsPerOp);
 
     // Threaded sweep over the Figure 13 grid of the quick workloads.
     const std::vector<std::string> grid_workloads =
@@ -547,7 +643,7 @@ main(int argc, char **argv)
     entry << "{\"commit\": \"" << commit << "\", \"mode\": \""
           << (smoke ? "smoke" : "full")
           << "\", \"calibration_mops\": " << calibration
-          << ", \"single_stream\": [";
+          << ", \"host\": " << hostJson() << ", \"single_stream\": [";
     for (std::size_t i = 0; i < results.size(); ++i) {
         const auto &r = results[i];
         entry << (i ? ", " : "") << "{\"workload\": \"" << r.point.label
@@ -593,7 +689,11 @@ main(int argc, char **argv)
 #endif
           << ", \"disarmed_uops_per_sec\": " << telemetry_disarmed
           << ", \"traced_uops_per_sec\": " << telemetry_traced
-          << ", \"overhead_pct\": " << telemetry_overhead_pct << "}}";
+          << ", \"overhead_pct\": " << telemetry_overhead_pct
+          << "}, \"trace_io\": {\"workload\": \"GPT-L3\", "
+          << "\"pattern\": 4, \"ops\": " << trace_io.ops
+          << ", \"write_ns_per_op\": " << trace_io.writeNsPerOp
+          << ", \"read_ns_per_op\": " << trace_io.readNsPerOp << "}}";
 
     // Snapshot the baseline BEFORE rewriting --out, so gating still
     // compares against the previous entry when both name the same
@@ -679,6 +779,24 @@ main(int argc, char **argv)
                          "regressed more than "
                       << max_regress_pct << "%\n";
             return 1;
+        }
+        // trace_io gates the same way, on its rates (ops per ns),
+        // once the latest entry carries the row.
+        double base_write = 0, base_read = 0;
+        if (findJsonNumber(latest, "write_ns_per_op", &base_write) &&
+            findJsonNumber(latest, "read_ns_per_op", &base_read)) {
+            const double ceiling =
+                1 / (scale * (1 - max_regress_pct / 100));
+            std::printf("trace_io gate: write %.1f ns/op vs ceiling "
+                        "%.1f, read %.1f ns/op vs ceiling %.1f\n",
+                        trace_io.writeNsPerOp, base_write * ceiling,
+                        trace_io.readNsPerOp, base_read * ceiling);
+            if (trace_io.writeNsPerOp > base_write * ceiling ||
+                trace_io.readNsPerOp > base_read * ceiling) {
+                std::cerr << "FAIL: trace_io ns/op regressed more than "
+                          << max_regress_pct << "%\n";
+                return 1;
+            }
         }
     }
     if (telemetry_overhead_pct > max_telemetry_overhead_pct) {

@@ -35,6 +35,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -426,6 +427,14 @@ cmdRun(Args args)
         return 1;
     }
 
+    if (!trace_in.empty() &&
+        (!trace_out.empty() || have_workload || have_gemm)) {
+        std::cerr << "error: --trace-in replays a saved trace; it "
+                     "cannot be combined with --trace-out/--workload/"
+                     "--gemm\n";
+        return 1;
+    }
+
     sim::Session session;
     if (!cache_dir.empty()) {
         const auto disk = session.attachDiskCache(cache_dir);
@@ -466,36 +475,44 @@ cmdRun(Args args)
         std::cerr << "run: " << remote->simulationsPerformed
                   << " simulated by server\n";
     } else if (!trace_in.empty()) {
-        const auto trace = cpu::readTraceFile(trace_in);
-        if (!trace) {
+        // The replayed trace, not the builder's default workload, is
+        // what the result describes.  The file streams straight into
+        // the replayer; a file that does not open reads as damaged.
+        job->simulation.label = "trace:" + trace_in;
+        std::ifstream is(trace_in, std::ios::binary);
+        const sim::ReplayRun replayed =
+            session.replay(is, job->simulation);
+        switch (replayed.status) {
+          case sim::ReplayRun::Status::Unreadable:
             std::cerr << "cannot read trace: " << trace_in << "\n";
             return 2;
-        }
-        // The replayed trace, not the builder's default workload, is
-        // what the result describes.
-        job->simulation.label = "trace:" + trace_in;
-        if (const auto error =
-                session.replayError(*trace, job->simulation)) {
+          case sim::ReplayRun::Status::Unsupported:
             std::cerr << "cannot replay on " << job->simulation.engine
-                      << ": " << *error << "\n";
+                      << ": " << replayed.error << "\n";
             return 1;
+          case sim::ReplayRun::Status::Ok:
+            break;
         }
+        result = replayed.result;
+        // Every replayed op retires: the count is the file's.
         if (format == OutputFormat::Text)
-            std::cout << "replaying " << trace->size() << " ops from "
-                      << trace_in << "\n";
-        result = session.replay(*trace, job->simulation);
+            std::cout << "replaying " << result.instructions
+                      << " ops from " << trace_in << "\n";
     } else if (!trace_out.empty()) {
-        // One generation pass: the facade hands back the exact trace
-        // it measured so it can be replayed across engine configs.
-        cpu::Trace trace;
-        result = session.run(job->simulation, &trace);
-        if (!cpu::writeTraceFile(trace_out, trace)) {
+        // One generation pass teed into the replayer and the file;
+        // the writer patches the header's op count after the last op.
+        std::ofstream os(trace_out, std::ios::binary);
+        cpu::TraceWriter writer(os);
+        // A file that did not open fails finish() without a run.
+        if (os)
+            result = session.run(job->simulation, &writer);
+        if (!writer.finish()) {
             std::cerr << "cannot write trace: " << trace_out << "\n";
             return 2;
         }
         if (format == OutputFormat::Text)
             std::cout << "trace saved:        " << trace_out << " ("
-                      << trace.size() << " ops)\n";
+                      << writer.written() << " ops)\n";
     } else if (lanes > 0) {
         // Explicit lane width: route the single job through the
         // batch API's lane packs (a one-job pack replays exactly as

@@ -8,7 +8,9 @@
  * cpu::Trace: the generator's emit() calls feed the replayer's step()
  * directly.  TraceCollector is the batch adapter -- a sink that
  * appends into an in-memory Trace for callers that want the whole
- * thing (serialization, replay across engines, tests).
+ * thing (replay across engines, tests) -- and TraceTee forwards one
+ * stream into two sinks, so a single generation pass can feed the
+ * replayer and a cpu::TraceWriter saving the trace.
  */
 
 #ifndef VEGETA_CPU_TRACE_SINK_HPP
@@ -52,6 +54,27 @@ class TraceCollector final : public TraceSink
 
   private:
     Trace trace_;
+};
+
+/** Sink that forwards each op to two sinks, first then second. */
+class TraceTee final : public TraceSink
+{
+  public:
+    TraceTee(TraceSink &first, TraceSink &second)
+        : first_(first), second_(second)
+    {
+    }
+
+    void
+    emit(const TraceOp &op) override
+    {
+        first_.emit(op);
+        second_.emit(op);
+    }
+
+  private:
+    TraceSink &first_;
+    TraceSink &second_;
 };
 
 } // namespace vegeta::cpu

@@ -6,11 +6,52 @@
 #include "common/logging.hpp"
 #include "common/stats.hpp"
 #include "cpu/lane_replayer.hpp"
+#include "cpu/trace_io.hpp"
 #include "sim/telemetry.hpp"
 
 namespace vegeta::sim {
 
 namespace {
+
+/**
+ * The replay sink: checks each TileCompute's opcode against the
+ * engine, then steps the op into the core model.  From the first op
+ * the engine cannot execute (the pipeline model would abort on it)
+ * it only remembers why and lets the rest of the stream drain.
+ */
+class CheckedReplay final : public cpu::TraceSink
+{
+  public:
+    CheckedReplay(const cpu::CoreConfig &core,
+                  const engine::EngineConfig &engine)
+        : cpu_(core, engine)
+    {
+    }
+
+    void
+    emit(const cpu::TraceOp &op) override
+    {
+        if (!error_.empty())
+            return;
+        const engine::EngineConfig &engine = cpu_.engineConfig();
+        if (op.kind == cpu::UopKind::TileCompute &&
+            !engine.supportsOpcode(op.tile.op)) {
+            error_ = engine.name + " cannot execute " +
+                     isa::opcodeName(op.tile.op);
+            return;
+        }
+        cpu_.step(op);
+    }
+
+    /** Why the engine refused the stream ("" when it did not). */
+    const std::string &error() const { return error_; }
+
+    cpu::SimResult finish() { return cpu_.finish(); }
+
+  private:
+    cpu::TraceCpu cpu_;
+    std::string error_;
+};
 
 // Cache-probe outcome counters, shared by run() and runSimPack() so
 // the two probe sequences report identically.
@@ -98,16 +139,16 @@ Session::setDiskCache(std::shared_ptr<DiskResultCache> cache)
 
 SimulationResult
 Session::run(const SimulationRequest &request,
-             cpu::Trace *trace_out) const
+             cpu::TraceSink *tee) const
 {
     if (!cache_ && !disk_cache_)
-        return runUncached(request, trace_out);
+        return runUncached(request, tee);
 
     const std::string key = cacheKey(request);
-    // Callers wanting the generated trace always pay the generation
-    // pass -- a cache hit has no trace to hand back -- but their
-    // result still warms the caches for later trace-less runs.
-    if (!trace_out) {
+    // Teed runs always pay the generation pass -- a cache hit has no
+    // ops to hand the tee -- but their result still warms the caches
+    // for later plain runs.
+    if (!tee) {
         if (cache_) {
             if (auto hit = cache_->find(key)) {
                 countMemoryHit();
@@ -126,7 +167,7 @@ Session::run(const SimulationRequest &request,
         }
         countMiss();
     }
-    const SimulationResult result = runUncached(request, trace_out);
+    const SimulationResult result = runUncached(request, tee);
     if (cache_)
         cache_->insert(key, result);
     if (disk_cache_)
@@ -136,7 +177,7 @@ Session::run(const SimulationRequest &request,
 
 SimulationResult
 Session::runUncached(const SimulationRequest &request,
-                     cpu::Trace *trace_out) const
+                     cpu::TraceSink *tee) const
 {
     const auto engine = engines_.find(request.engine);
     VEGETA_ASSERT(engine.has_value(), "unregistered engine ",
@@ -152,56 +193,66 @@ Session::runUncached(const SimulationRequest &request,
     opts.cBlocking = request.cBlocking;
     opts.traceOnly = true;
 
-    if (trace_out) {
-        // The caller wants the trace itself (to save or replay), so
-        // this path has to materialize it anyway -- but only once:
-        // move it out instead of copying a potentially huge vector.
-        kernels::KernelRun kernel_run =
-            kernels::runSpmmKernel(request.gemm, executed_n, opts);
-        *trace_out = std::move(kernel_run.trace);
-        return measure(*trace_out, *engine, request,
-                       kernelVariantName(request.kernel), executed_n,
-                       kernel_run.tileComputes);
-    }
-
     // Streaming replay: the kernel generator emits uops straight into
-    // the scheduler, so peak memory is independent of trace length.
+    // the scheduler -- and through a tee into the caller's sink -- so
+    // peak memory is independent of trace length.
     cpu::TraceCpu cpu_model(coreFor(request, *engine), *engine);
-    const kernels::KernelStats stats =
-        kernels::streamSpmmKernel(request.gemm, executed_n, opts,
-                                  cpu_model);
+    kernels::KernelStats stats;
+    if (tee) {
+        cpu::TraceTee both(cpu_model, *tee);
+        stats = kernels::streamSpmmKernel(request.gemm, executed_n,
+                                          opts, both);
+    } else {
+        stats = kernels::streamSpmmKernel(request.gemm, executed_n,
+                                          opts, cpu_model);
+    }
     return fromSimResult(cpu_model.finish(), *engine, request,
                          kernelVariantName(request.kernel), executed_n,
                          stats.tileComputes);
 }
 
-std::optional<std::string>
-Session::replayError(const cpu::Trace &trace,
-                     const SimulationRequest &request) const
+ReplayRun
+Session::replay(std::istream &trace,
+                const SimulationRequest &request) const
 {
-    const auto engine = engines_.find(request.engine);
-    if (!engine)
-        return "unregistered engine: " + request.engine;
-    for (const auto &op : trace) {
-        if (op.kind == cpu::UopKind::TileCompute &&
-            !engine->supportsOpcode(op.tile.op))
-            return engine->name + " cannot execute " +
-                   std::string(isa::opcodeName(op.tile.op));
-    }
-    return std::nullopt;
+    return replayFrom(request, [&](cpu::TraceSink &sink) {
+        return cpu::streamTrace(trace, sink).has_value();
+    });
 }
 
-SimulationResult
+ReplayRun
 Session::replay(const cpu::Trace &trace,
                 const SimulationRequest &request) const
+{
+    return replayFrom(request, [&](cpu::TraceSink &sink) {
+        for (const cpu::TraceOp &op : trace)
+            sink.emit(op);
+        return true;
+    });
+}
+
+ReplayRun
+Session::replayFrom(
+    const SimulationRequest &request,
+    const std::function<bool(cpu::TraceSink &)> &feed) const
 {
     const auto engine = engines_.find(request.engine);
     VEGETA_ASSERT(engine.has_value(), "unregistered engine ",
                   request.engine);
-    simulations_.fetch_add(1, std::memory_order_relaxed);
-    return measure(trace, *engine, request, "replay",
-                   engine->effectiveN(request.patternN),
-                   /*tile_computes=*/0);
+    CheckedReplay replayer(coreFor(request, *engine), *engine);
+    ReplayRun run;
+    if (!feed(replayer)) {
+        run.status = ReplayRun::Status::Unreadable;
+    } else if (!replayer.error().empty()) {
+        run.status = ReplayRun::Status::Unsupported;
+        run.error = replayer.error();
+    } else {
+        simulations_.fetch_add(1, std::memory_order_relaxed);
+        run.result = fromSimResult(
+            replayer.finish(), *engine, request, "replay",
+            engine->effectiveN(request.patternN), /*tile_computes=*/0);
+    }
+    return run;
 }
 
 std::optional<std::string>
@@ -580,18 +631,6 @@ Session::coreFor(const SimulationRequest &request,
     cpu::CoreConfig core = request.core;
     core.outputForwarding = request.outputForwarding && engine.sparse;
     return core;
-}
-
-SimulationResult
-Session::measure(const cpu::Trace &trace,
-                 const engine::EngineConfig &engine,
-                 const SimulationRequest &request,
-                 const char *kernel_label, u32 executed_n,
-                 u64 tile_computes) const
-{
-    cpu::TraceCpu cpu_model(coreFor(request, engine), engine);
-    return fromSimResult(cpu_model.run(trace), engine, request,
-                         kernel_label, executed_n, tile_computes);
 }
 
 SimulationResult

@@ -26,8 +26,11 @@
 #define VEGETA_SIM_SESSION_HPP
 
 #include <atomic>
+#include <functional>
+#include <iosfwd>
 #include <memory>
 
+#include "cpu/trace_sink.hpp"
 #include "sim/cache.hpp"
 #include "sim/disk_cache.hpp"
 #include "sim/job.hpp"
@@ -36,6 +39,21 @@
 #include "sim/result.hpp"
 
 namespace vegeta::sim {
+
+/** A trace replay's result, or why there is none. */
+struct ReplayRun
+{
+    enum class Status : u8
+    {
+        Ok,          ///< result holds the measurement
+        Unreadable,  ///< bad header, truncation, or a malformed op
+        Unsupported, ///< an op the engine has no datapath for
+    };
+
+    Status status = Status::Ok;
+    std::string error; ///< why the engine refused (Unsupported)
+    SimulationResult result;
+};
 
 /** Facade over kernel generation + the trace-driven CPU model. */
 class Session
@@ -100,30 +118,32 @@ class Session
      * Run one request end to end: generate the kernel trace for the
      * engine's effective N and simulate it on the core model.
      * The request must name a registered engine (builders guarantee
-     * this); unknown names abort via VEGETA_ASSERT.  When
-     * @p trace_out is non-null the generated trace is copied into it
-     * (for saving to disk) without a second generation pass.
+     * this); unknown names abort via VEGETA_ASSERT.  When @p tee is
+     * non-null, the one generation pass also emits every op into it:
+     * a cpu::TraceWriter saves the trace, a cpu::TraceCollector keeps
+     * it.  A teed run skips the cache lookup (a hit has no ops to
+     * hand out) but still warms the caches.
      */
     SimulationResult run(const SimulationRequest &request,
-                         cpu::Trace *trace_out = nullptr) const;
+                         cpu::TraceSink *tee = nullptr) const;
 
     /**
-     * Why @p trace cannot replay on the request's engine (a trace
-     * generated for a sparse executed-N contains TILE_SPMM ops a
-     * dense engine has no datapath for), or nullopt if it can.
+     * Replay a serialized trace (cpu/trace_io) streamed from @p trace
+     * under a request's engine and core configuration (the kernel
+     * variant and GEMM dims of the request are ignored; the result's
+     * kernel field reads "replay"); no cpu::Trace is built.  Each
+     * TileCompute opcode is checked against the engine as it arrives
+     * -- a trace generated for a sparse executed-N carries TILE_SPMM
+     * ops a dense engine has no datapath for.  The rest of the stream
+     * is still read after such an op, so a damaged file reports
+     * Unreadable whatever ops it holds.
      */
-    std::optional<std::string>
-    replayError(const cpu::Trace &trace,
-                const SimulationRequest &request) const;
+    ReplayRun replay(std::istream &trace,
+                     const SimulationRequest &request) const;
 
-    /**
-     * Replay a pre-recorded trace under a request's engine and core
-     * configuration (the kernel variant and GEMM dims of the request
-     * are ignored; the result's kernel field reads "replay").  The
-     * trace must be replayable (see replayError).
-     */
-    SimulationResult replay(const cpu::Trace &trace,
-                            const SimulationRequest &request) const;
+    /** The same replay over an in-memory trace (never Unreadable). */
+    ReplayRun replay(const cpu::Trace &trace,
+                     const SimulationRequest &request) const;
 
     /**
      * Why an analytical request cannot run (unknown model, engine, or
@@ -221,14 +241,16 @@ class Session
                   const char *kernel_label, u32 executed_n,
                   u64 tile_computes);
 
-    SimulationResult measure(const cpu::Trace &trace,
-                             const engine::EngineConfig &engine,
-                             const SimulationRequest &request,
-                             const char *kernel_label,
-                             u32 executed_n, u64 tile_computes) const;
+    /**
+     * Both replay() overloads: @p feed emits the trace's ops into the
+     * checking replay sink, false when the trace was unreadable.
+     */
+    ReplayRun
+    replayFrom(const SimulationRequest &request,
+               const std::function<bool(cpu::TraceSink &)> &feed) const;
 
     SimulationResult runUncached(const SimulationRequest &request,
-                                 cpu::Trace *trace_out) const;
+                                 cpu::TraceSink *tee) const;
 
     /**
      * Run the simulation jobs at @p pack (indices into @p jobs) as

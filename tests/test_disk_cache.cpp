@@ -523,9 +523,9 @@ TEST(DiskCache, TraceOutRunsStillWarmTheCache)
                              .pattern(2)
                              .build();
     ASSERT_TRUE(request.has_value());
-    cpu::Trace trace;
+    cpu::TraceCollector trace;
     const auto with_trace = first.run(*request, &trace);
-    EXPECT_FALSE(trace.empty());
+    EXPECT_FALSE(trace.trace().empty());
 
     // The trace-saving run paid the generation pass, but its result
     // still landed in the persistent cache.

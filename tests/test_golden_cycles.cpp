@@ -148,11 +148,11 @@ TEST(GoldenCycles, BatchReplayMatchesStreamingRun)
                        .outputForwarding(g.outputForwarding)
                        .build();
     ASSERT_TRUE(request.has_value());
-    cpu::Trace trace;
-    simulator.run(*request, &trace); // batch path, trace captured
+    cpu::TraceCollector trace;
+    simulator.run(*request, &trace); // teed run, trace captured
     const SimulationResult streamed = simulator.run(*request);
     const SimulationResult replayed =
-        simulator.replay(trace, *request);
+        simulator.replay(trace.trace(), *request).result;
     EXPECT_EQ(replayed.coreCycles, g.coreCycles);
     EXPECT_EQ(streamed.coreCycles, replayed.coreCycles);
     EXPECT_EQ(streamed.cacheHits, replayed.cacheHits);

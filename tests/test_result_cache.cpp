@@ -152,10 +152,10 @@ TEST(ResultCache, TraceOutBypassesCacheButStaysIdentical)
         smallRequest(simulator, "VEGETA-S-2-2", 2, false);
 
     const auto cached = simulator.run(request); // populates cache
-    cpu::Trace trace;
+    cpu::TraceCollector trace;
     const auto with_trace = simulator.run(request, &trace);
     expectIdentical(cached, with_trace);
-    EXPECT_FALSE(trace.empty());
+    EXPECT_FALSE(trace.trace().empty());
 }
 
 TEST(SweepDedupe, DuplicateRequestsSimulateOnce)

@@ -9,11 +9,43 @@
 
 #include <sstream>
 
+#include "cpu/trace_io.hpp"
+#include "expect_identical.hpp"
 #include "kernels/driver.hpp"
 #include "sim/sweep.hpp"
 
 namespace vegeta::sim {
 namespace {
+
+/** A stringbuf that cannot seek: how a pipe presents the bytes. */
+class UnseekableBuf : public std::stringbuf
+{
+  public:
+    using std::stringbuf::stringbuf;
+
+  protected:
+    pos_type
+    seekoff(off_type, std::ios_base::seekdir,
+            std::ios_base::openmode) override
+    {
+        return pos_type(off_type(-1));
+    }
+
+    pos_type
+    seekpos(pos_type, std::ios_base::openmode) override
+    {
+        return pos_type(off_type(-1));
+    }
+};
+
+/** The serialized bytes of @p trace. */
+std::string
+traceBytes(const cpu::Trace &trace)
+{
+    std::ostringstream os;
+    EXPECT_TRUE(cpu::writeTrace(os, trace));
+    return os.str();
+}
 
 // --- parseGemmSpec ----------------------------------------------------
 
@@ -236,12 +268,20 @@ TEST(Simulator, ReplayMatchesGeneratedRun)
 
     const auto direct = simulator.run(*request);
     const auto replayed = simulator.replay(run.trace, *request);
-    EXPECT_EQ(replayed.coreCycles, direct.coreCycles);
-    EXPECT_EQ(replayed.instructions, direct.instructions);
-    EXPECT_EQ(replayed.kernel, "replay");
+    ASSERT_EQ(replayed.status, ReplayRun::Status::Ok);
+    EXPECT_EQ(replayed.result.coreCycles, direct.coreCycles);
+    EXPECT_EQ(replayed.result.instructions, direct.instructions);
+    EXPECT_EQ(replayed.result.kernel, "replay");
+
+    // Streamed from the serialized bytes: the very same result.
+    std::istringstream bytes(traceBytes(run.trace));
+    const auto streamed = simulator.replay(bytes, *request);
+    ASSERT_EQ(streamed.status, ReplayRun::Status::Ok);
+    EXPECT_EQ(streamed.result.instructions, run.trace.size());
+    expectIdenticalSim(streamed.result, replayed.result);
 }
 
-TEST(Simulator, ReplayErrorOnIncompatibleEngine)
+TEST(Simulator, ReplayRefusesOpsTheEngineCannotExecute)
 {
     const Simulator simulator;
     // A 2:4 trace contains TILE_SPMM_U ops; the dense RASA-DM engine
@@ -259,11 +299,50 @@ TEST(Simulator, ReplayErrorOnIncompatibleEngine)
                                .gemm(kernels::GemmDims{64, 64, 256})
                                .engine("VEGETA-D-1-2")
                                .build();
-    EXPECT_FALSE(
-        simulator.replayError(run.trace, *sparse_req).has_value());
-    const auto error = simulator.replayError(run.trace, *dense_req);
-    ASSERT_TRUE(error.has_value());
-    EXPECT_NE(error->find("VEGETA-D-1-2"), std::string::npos);
+    EXPECT_EQ(simulator.replay(run.trace, *sparse_req).status,
+              ReplayRun::Status::Ok);
+    const auto refused = simulator.replay(run.trace, *dense_req);
+    ASSERT_EQ(refused.status, ReplayRun::Status::Unsupported);
+    EXPECT_EQ(refused.error, "VEGETA-D-1-2 cannot execute " +
+                                 std::string(isa::opcodeName(
+                                     isa::Opcode::TileSpmmU)));
+
+    // The streamed replay checks each op as it arrives, with the
+    // same verdict.
+    std::istringstream bytes(traceBytes(run.trace));
+    const auto streamed = simulator.replay(bytes, *dense_req);
+    EXPECT_EQ(streamed.status, ReplayRun::Status::Unsupported);
+    EXPECT_EQ(streamed.error, refused.error);
+}
+
+TEST(Simulator, TruncatedTraceReportsReadErrorBeforeUnsupportedOps)
+{
+    // A damaged trace is unreadable whatever ops it holds: a truncated
+    // 2:4 trace on the dense engine reports the read error, not the
+    // TILE_SPMM_U it cannot execute.  The trace spans more than one
+    // reader block, so on an unseekable stream the refused op arrives
+    // well before the short block does.
+    const Simulator simulator;
+    kernels::KernelOptions opts;
+    opts.traceOnly = true;
+    const auto run =
+        kernels::runSpmmKernel({128, 128, 512}, /*executed_n=*/2, opts);
+    ASSERT_GT(run.trace.size(), cpu::kTraceBlockOps);
+    const auto dense_req = simulator.request()
+                               .gemm(kernels::GemmDims{128, 128, 512})
+                               .engine("VEGETA-D-1-2")
+                               .build();
+    std::string bytes = traceBytes(run.trace);
+    bytes.resize(bytes.size() - 5);
+
+    std::istringstream file(bytes);
+    EXPECT_EQ(simulator.replay(file, *dense_req).status,
+              ReplayRun::Status::Unreadable);
+
+    UnseekableBuf pipe(bytes, std::ios::in);
+    std::istream stream(&pipe);
+    EXPECT_EQ(simulator.replay(stream, *dense_req).status,
+              ReplayRun::Status::Unreadable);
 }
 
 TEST(Simulator, DenseEngineIgnoresOutputForwardingRequest)
