@@ -58,9 +58,7 @@
 #include <thread>
 #include <vector>
 
-#include "cpu/lane_replayer.hpp"
 #include "cpu/trace_io.hpp"
-#include "engine/config.hpp"
 #include "sim/pool.hpp"
 #include "sim/session.hpp"
 #include "sim/telemetry.hpp"
@@ -354,72 +352,6 @@ main(int argc, char **argv)
     const double batch_geomean = geomean(batch_rates);
     const double stream_geomean = geomean(stream_rates);
 
-    // Lane-batched replay rows: K copies of each point's trace on a
-    // K-lane LaneReplayer, so the row family shows how interleaving K
-    // independent streams through one hot loop scales on THIS host
-    // (K=1 doubles as the strip-scheduler overhead check against the
-    // single-stream batch row).  Session::defaultLaneWidth() is read
-    // off this trajectory.
-    struct LanePoint
-    {
-        u32 lanes;
-        double uopsPerSec;
-        double speedupVsSingle;
-    };
-    std::vector<LanePoint> lane_points;
-    {
-        // The smaller GEMM size keeps the K=8 row affordable while
-        // still covering all three sparsity patterns + dense.
-        const std::size_t lane_point_count =
-            std::min<std::size_t>(points.size(), 4);
-        std::vector<cpu::Trace> lane_traces;
-        std::vector<engine::EngineConfig> lane_engines;
-        for (std::size_t p = 0; p < lane_point_count; ++p) {
-            const auto request = requestFor(simulator, points[p]);
-            cpu::TraceCollector collector;
-            simulator.run(request, &collector);
-            lane_traces.push_back(collector.take());
-            const auto engine_config =
-                engine::configByName(points[p].engine);
-            VEGETA_ASSERT(engine_config.has_value(),
-                          "unknown bench engine");
-            lane_engines.push_back(*engine_config);
-        }
-        const int lane_reps = smoke ? 1 : 2;
-        for (const u32 k : {1u, 2u, 4u, 8u}) {
-            std::vector<double> rates;
-            for (std::size_t p = 0; p < lane_traces.size(); ++p) {
-                const std::vector<cpu::LaneReplayer::LaneSpec> specs(
-                    k, {{}, lane_engines[p]});
-                cpu::LaneReplayer replayer(specs);
-                const std::vector<const cpu::Trace *> lanes(
-                    k, &lane_traces[p]);
-                double best = 0;
-                for (int r = 0; r < lane_reps; ++r) {
-                    const auto t0 = Clock::now();
-                    const auto lane_results = replayer.replay(lanes);
-                    const auto t1 = Clock::now();
-                    u64 uops = 0;
-                    for (const auto &res : lane_results) {
-                        uops += res.retiredOps;
-                        VEGETA_ASSERT(
-                            res.totalCycles ==
-                                lane_results[0].totalCycles,
-                            "identical lanes must finish in "
-                            "identical cycles");
-                    }
-                    best = std::max(best, uops / seconds(t0, t1));
-                }
-                rates.push_back(best);
-            }
-            const double rate = geomean(rates);
-            lane_points.push_back({k, rate, rate / batch_geomean});
-            std::printf("lanes: K=%u  %7.2f Muops/s  (%.2fx single-"
-                        "stream batch)\n",
-                        k, rate / 1e6, rate / batch_geomean);
-        }
-    }
-
     // Telemetry-overhead row: the same batch replay measured with
     // span tracing armed vs disarmed, arms interleaved per rep so
     // frequency drift hits both equally.  The disarmed arm is what a
@@ -656,14 +588,7 @@ main(int argc, char **argv)
     }
     entry << "], \"single_stream_uops_per_sec_geomean\": "
           << batch_geomean << ", \"stream_uops_per_sec_geomean\": "
-          << stream_geomean << ", \"lane_replay\": [";
-    for (std::size_t i = 0; i < lane_points.size(); ++i)
-        entry << (i ? ", " : "") << "{\"lanes\": "
-              << lane_points[i].lanes << ", \"uops_per_sec\": "
-              << lane_points[i].uopsPerSec
-              << ", \"speedup_vs_single\": "
-              << lane_points[i].speedupVsSingle << "}";
-    entry << "], \"sweep\": {\"requests\": "
+          << stream_geomean << ", \"sweep\": {\"requests\": "
           << grid.size() << ", \"threads\": " << sweep_threads
           << ", \"seconds\": " << sweep_secs
           << ", \"uops_per_sec\": " << sweep_uops / sweep_secs

@@ -89,8 +89,6 @@ usage(std::ostream &os)
           "  --cblocking N       C tile registers (1..3)\n"
           "  --trace-out FILE    save the generated trace\n"
           "  --trace-in FILE     replay a saved trace\n"
-          "  --lanes N           lane-batched replay width (N >= 1;\n"
-          "                      default measured per host)\n"
           "  --cache-dir DIR     attach the persistent result cache\n"
           "  --connect ADDR      run on a serve daemon instead of\n"
           "                      locally (byte-identical output)\n"
@@ -116,8 +114,6 @@ usage(std::ostream &os)
           "  --threads N         worker threads (default hardware)\n"
           "  --workers N         shard over N worker processes\n"
           "                      (byte-identical to single-process)\n"
-          "  --lanes N           lane-batched replay width (N >= 1;\n"
-          "                      byte-identical for any width)\n"
           "  --cache-dir DIR     attach the persistent result cache\n"
           "                      (shared by all pool workers)\n"
           "  --connect ADDR      run on a serve daemon instead of\n"
@@ -146,7 +142,6 @@ usage(std::ostream &os)
           "                      512-MAC design candidates\n"
           "  --no-cost-model     ignore the cache-trained cost model\n"
           "  --threads N         replay batch threads\n"
-          "  --lanes N           lane-batched replay width\n"
           "  --cache-dir DIR     persistent cache (also the cost\n"
           "                      model's training corpus)\n"
           "  --connect ADDR      confirm replays on a serve daemon\n"
@@ -231,20 +226,6 @@ struct Args
         return take();
     }
 };
-
-u32
-parseLanesFlag(Args &args)
-{
-    const std::string text = args.value("--lanes");
-    const auto parsed = sim::parseU32(text);
-    if (!parsed || *parsed == 0) {
-        std::cerr << "error: --lanes expects a positive integer, "
-                     "got '"
-                  << text << "'\n";
-        std::exit(1);
-    }
-    return *parsed;
-}
 
 u32
 parsePatternFlag(Args &args)
@@ -354,7 +335,6 @@ cmdRun(Args args)
     std::string metrics_out;
     u32 pattern = 2;
     u32 cblocking = 3;
-    u32 lanes = 0;
     bool of = true;
     bool naive = false;
     OutputFormat format = OutputFormat::Text;
@@ -392,8 +372,6 @@ cmdRun(Args args)
             trace_out = args.value(arg);
         } else if (arg == "--trace-in") {
             trace_in = args.value(arg);
-        } else if (arg == "--lanes") {
-            lanes = parseLanesFlag(args);
         } else if (arg == "--cache-dir") {
             cache_dir = args.value(arg);
         } else if (arg == "--connect") {
@@ -407,15 +385,6 @@ cmdRun(Args args)
             std::cerr << "error: unknown run option " << arg << "\n";
             return 1;
         }
-    }
-
-    if (lanes > 0 &&
-        (!connect_addr.empty() || !trace_in.empty() ||
-         !trace_out.empty())) {
-        std::cerr << "error: --lanes applies to local batch "
-                     "execution; it cannot be combined with "
-                     "--connect/--trace-in/--trace-out\n";
-        return 1;
     }
 
     if (!connect_addr.empty() &&
@@ -513,13 +482,6 @@ cmdRun(Args args)
         if (format == OutputFormat::Text)
             std::cout << "trace saved:        " << trace_out << " ("
                       << writer.written() << " ops)\n";
-    } else if (lanes > 0) {
-        // Explicit lane width: route the single job through the
-        // batch API's lane packs (a one-job pack replays exactly as
-        // run() would, so the output is identical).
-        result = session.runBatch(std::vector<sim::Job>{*job}, 1,
-                                  lanes)[0]
-                     .simulation;
     } else {
         result = session.run(*job).simulation;
     }
@@ -637,7 +599,6 @@ cmdSweep(Args args)
     std::vector<u32> patterns;
     u32 threads = 0;
     u32 workers = 0;
-    u32 lanes = 0;
     std::string cache_dir, connect_addr;
     std::string span_trace_out, metrics_out;
     OutputFormat format = OutputFormat::Text;
@@ -676,8 +637,6 @@ cmdSweep(Args args)
                 return 1;
             }
             workers = *parsed;
-        } else if (arg == "--lanes") {
-            lanes = parseLanesFlag(args);
         } else if (arg == "--cache-dir") {
             cache_dir = args.value(arg);
         } else if (arg == "--connect") {
@@ -696,11 +655,10 @@ cmdSweep(Args args)
     }
 
     if (!connect_addr.empty() &&
-        (workers > 0 || threads > 0 || lanes > 0 ||
-         !cache_dir.empty())) {
+        (workers > 0 || threads > 0 || !cache_dir.empty())) {
         std::cerr << "error: --connect cannot be combined with "
-                     "--workers/--threads/--lanes/--cache-dir (the "
-                     "server decides its own execution)\n";
+                     "--workers/--threads/--cache-dir (the server "
+                     "decides its own execution)\n";
         return 1;
     }
 
@@ -794,7 +752,6 @@ cmdSweep(Args args)
         options.workers = workers;
         options.cacheDir = cache_dir;
         options.threadsPerWorker = threads;
-        options.laneWidth = lanes;
         // An explicit --workers N is a demand, not a hint: bypass
         // the batch-size planner so small sweeps still shard exactly
         // as requested.
@@ -810,7 +767,7 @@ cmdSweep(Args args)
             results.push_back(result.simulation);
         simulated = pooled.stats.simulationsPerformed;
     } else {
-        results = session.runBatch(grid, threads, lanes);
+        results = session.runBatch(grid, threads);
         simulated = session.simulationsPerformed();
     }
 
@@ -933,8 +890,6 @@ cmdTune(Args args)
                 return 1;
             }
             options.threads = *parsed;
-        } else if (arg == "--lanes") {
-            options.laneWidth = parseLanesFlag(args);
         } else if (arg == "--cache-dir") {
             cache_dir = args.value(arg);
         } else if (arg == "--connect") {
@@ -956,10 +911,9 @@ cmdTune(Args args)
         }
     }
 
-    if (!connect_addr.empty() &&
-        (options.threads > 0 || options.laneWidth > 0)) {
+    if (!connect_addr.empty() && options.threads > 0) {
         std::cerr << "error: --connect cannot be combined with "
-                     "--threads/--lanes (the server decides its own "
+                     "--threads (the server decides its own "
                      "execution)\n";
         return 1;
     }

@@ -23,121 +23,47 @@ log2u(u32 value)
     return shift;
 }
 
-} // namespace
-
-CacheModel::CacheModel(CacheConfig config) : config_(config)
-{
-    VEGETA_ASSERT(config_.l1Ways > 0, "degenerate cache configuration");
-    VEGETA_ASSERT(isPowerOfTwo(config_.lineBytes) &&
-                      isPowerOfTwo(config_.l1Sets),
-                  "lineBytes and l1Sets must be powers of two");
-    line_shift_ = log2u(config_.lineBytes);
-    set_mask_ = config_.l1Sets - 1;
-    tags_.assign(std::size_t{config_.l1Sets} * config_.l1Ways,
-                 kInvalidTag);
-}
-
-CacheModel::RangeAccess
-CacheModel::accessRange(Addr addr, u32 bytes)
-{
-    VEGETA_ASSERT(bytes > 0, "zero-length access");
-    RangeAccess access;
-    const u64 first = addr / config_.lineBytes;
-    const u64 last = (addr + bytes - 1) / config_.lineBytes;
-    for (u64 line = first; line <= last; ++line) {
-        access.maxLatency = std::max(
-            access.maxLatency, accessLine(line * config_.lineBytes));
-        ++access.lines;
-    }
-    return access;
-}
-
-void
-CacheModel::reset()
-{
-    std::fill(tags_.begin(), tags_.end(), kInvalidTag);
-    hits_ = 0;
-    misses_ = 0;
-}
-
-LaneCacheModel::LaneCacheModel(const std::vector<CacheConfig> &configs)
-    : configs_(configs)
-{
-    VEGETA_ASSERT(!configs_.empty(),
-                  "lane cache needs at least 1 lane");
-    const std::size_t lanes = configs_.size();
-    line_shift_.reserve(lanes);
-    ways_.reserve(lanes);
-    set_mask_.reserve(lanes);
-    l1_latency_.reserve(lanes);
-    l2_latency_.reserve(lanes);
-    bank_base_.reserve(lanes);
-    bank_size_.reserve(lanes);
-    head_base_.reserve(lanes);
-    std::size_t total = 0;
-    std::size_t total_sets = 0;
-    for (const CacheConfig &config : configs_) {
-        VEGETA_ASSERT(config.l1Ways > 0,
-                      "degenerate cache configuration");
-        VEGETA_ASSERT(isPowerOfTwo(config.lineBytes) &&
-                          isPowerOfTwo(config.l1Sets),
-                      "lineBytes and l1Sets must be powers of two");
-        line_shift_.push_back(log2u(config.lineBytes));
-        ways_.push_back(config.l1Ways);
-        set_mask_.push_back(config.l1Sets - 1);
-        l1_latency_.push_back(config.l1Latency);
-        l2_latency_.push_back(config.l2Latency);
-        bank_base_.push_back(total);
-        bank_size_.push_back(std::size_t{config.l1Sets} *
-                             config.l1Ways);
-        total += bank_size_.back();
-        head_base_.push_back(total_sets);
-        total_sets += config.l1Sets;
-    }
-    tags_.assign(total, kInvalidTag);
-    heads_.assign(total_sets, 0);
-    hits_.assign(lanes, 0);
-    misses_.assign(lanes, 0);
-}
-
-namespace {
-
 /**
- * probeSpan's hot loop for a compile-time way count: the scan fully
- * unrolls and the geometry lives in registers across the whole span.
- * Mirrors LaneCacheModel::accessLine's circular-head recency update
- * exactly.  Returns the number of hits.
+ * probeSpan's loop for a compile-time way count (Ways = 0 reads
+ * @p runtime_ways instead): the scan fully unrolls and the geometry
+ * lives in registers across the whole span.  Returns the number of
+ * hits.
  */
 template <u32 Ways>
 u64
-probeSpanWays(u64 *bank, u32 *heads, u64 set_mask, u32 line_shift,
-              Cycles l1, Cycles l2, Addr addr, u64 stride, u64 count,
-              Cycles *out)
+probeSpanWays(u64 *tags, u32 *heads, u32 runtime_ways, u64 set_mask,
+              u32 line_shift, Cycles l1, Cycles l2, Addr addr,
+              u64 stride, u64 count, Cycles *out)
 {
+    const u32 ways = Ways != 0 ? Ways : runtime_ways;
     u64 hits = 0;
     for (u64 i = 0; i < count; ++i) {
         const u64 line = (addr + i * stride) >> line_shift;
         const u64 set_idx = line & set_mask;
-        u64 *set = bank + set_idx * Ways;
+        u64 *set = tags + set_idx * ways;
         u32 *head = heads + set_idx;
-        u32 hit_way = Ways;
-        for (u32 w = 0; w < Ways; ++w)
+        // Branchless fixed-length scan over the physical slots (a tag
+        // can match at most one way; empty ways hold kInvalidTag and
+        // never match).
+        u32 hit_way = ways;
+        for (u32 w = 0; w < ways; ++w)
             if (set[w] == line)
                 hit_way = w;
-        if (hit_way == Ways) {
+        if (hit_way == ways) {
             // Miss: step the head back onto the LRU tail and
             // overwrite it -- one store instead of a ways-1 rotate.
-            const u32 h = *head == 0 ? Ways - 1 : *head - 1;
+            const u32 h = *head == 0 ? ways - 1 : *head - 1;
             set[h] = line;
             *head = h;
             out[i] = l2;
         } else {
-            // Hit at logical depth d: rotate the logical prefix.
+            // Hit at logical depth d: rotate the logical prefix
+            // [0, d) one step so the line becomes MRU.
             const u32 h = *head;
-            u32 d = hit_way >= h ? hit_way - h : hit_way + Ways - h;
+            u32 d = hit_way >= h ? hit_way - h : hit_way + ways - h;
             for (; d > 0; --d) {
-                const u32 to = h + d >= Ways ? h + d - Ways : h + d;
-                const u32 from = to == 0 ? Ways - 1 : to - 1;
+                const u32 to = h + d >= ways ? h + d - ways : h + d;
+                const u32 from = to == 0 ? ways - 1 : to - 1;
                 set[to] = set[from];
             }
             set[h] = line;
@@ -150,62 +76,57 @@ probeSpanWays(u64 *bank, u32 *heads, u64 set_mask, u32 line_shift,
 
 } // namespace
 
-void
-LaneCacheModel::probeSpan(u32 lane, Addr addr, u64 stride, u64 count,
-                          Cycles *out)
+CacheModel::CacheModel(CacheConfig config) : config_(config)
 {
-    u64 *bank = tags_.data() + bank_base_[lane];
-    u32 *heads = heads_.data() + head_base_[lane];
-    const u64 set_mask = set_mask_[lane];
-    const u32 line_shift = line_shift_[lane];
-    const Cycles l1 = l1_latency_[lane];
-    const Cycles l2 = l2_latency_[lane];
+    VEGETA_ASSERT(config_.l1Ways > 0, "degenerate cache configuration");
+    VEGETA_ASSERT(isPowerOfTwo(config_.lineBytes) &&
+                      isPowerOfTwo(config_.l1Sets),
+                  "lineBytes and l1Sets must be powers of two");
+    line_shift_ = log2u(config_.lineBytes);
+    set_mask_ = config_.l1Sets - 1;
+    tags_.assign(std::size_t{config_.l1Sets} * config_.l1Ways,
+                 kInvalidTag);
+    heads_.assign(config_.l1Sets, 0);
+}
+
+void
+CacheModel::probeSpan(Addr addr, u64 stride, u64 count, Cycles *out)
+{
+    // The set geometry and latencies, bound once for the span.
+    const auto span = [&](auto probe) {
+        return probe(tags_.data(), heads_.data(), config_.l1Ways,
+                     set_mask_, line_shift_, config_.l1Latency,
+                     config_.l2Latency, addr, stride, count, out);
+    };
     u64 hits = 0;
-    switch (ways_[lane]) {
+    switch (config_.l1Ways) {
       case 4:
-        hits = probeSpanWays<4>(bank, heads, set_mask, line_shift, l1,
-                                l2, addr, stride, count, out);
+        hits = span(probeSpanWays<4>);
         break;
       case 8:
-        hits = probeSpanWays<8>(bank, heads, set_mask, line_shift, l1,
-                                l2, addr, stride, count, out);
+        hits = span(probeSpanWays<8>);
         break;
       case 12:
-        hits = probeSpanWays<12>(bank, heads, set_mask, line_shift, l1,
-                                 l2, addr, stride, count, out);
+        hits = span(probeSpanWays<12>);
         break;
       case 16:
-        hits = probeSpanWays<16>(bank, heads, set_mask, line_shift, l1,
-                                 l2, addr, stride, count, out);
+        hits = span(probeSpanWays<16>);
         break;
       default:
-        // Uncommon associativity: the per-call path, minus counters.
-        for (u64 i = 0; i < count; ++i)
-            out[i] = accessLine(lane, addr + i * stride);
-        return;
+        hits = span(probeSpanWays<0>);
+        break;
     }
-    hits_[lane] += hits;
-    misses_[lane] += count - hits;
+    hits_ += hits;
+    misses_ += count - hits;
 }
 
 void
-LaneCacheModel::resetLane(u32 lane)
+CacheModel::reset()
 {
-    std::fill_n(tags_.begin() +
-                    static_cast<std::ptrdiff_t>(bank_base_[lane]),
-                bank_size_[lane], kInvalidTag);
-    std::fill_n(heads_.begin() +
-                    static_cast<std::ptrdiff_t>(head_base_[lane]),
-                configs_[lane].l1Sets, u32{0});
-    hits_[lane] = 0;
-    misses_[lane] = 0;
-}
-
-void
-LaneCacheModel::reset()
-{
-    for (u32 lane = 0; lane < configs_.size(); ++lane)
-        resetLane(lane);
+    std::fill(tags_.begin(), tags_.end(), kInvalidTag);
+    std::fill(heads_.begin(), heads_.end(), u32{0});
+    hits_ = 0;
+    misses_ = 0;
 }
 
 } // namespace vegeta::cpu

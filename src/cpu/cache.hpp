@@ -8,22 +8,21 @@
  * pays the L2 hit latency, re-references within L1 residency pay the
  * L1 latency.
  *
- * Tags live in one contiguous array of l1Sets x l1Ways entries kept in
- * MRU-first order per set (exact LRU: the victim is the last entry),
- * so an access is a short linear scan plus an in-place rotate over at
- * most 96 bytes -- no allocation after construction (the seed's
- * per-set std::list LRU paid a node allocation per fill and a pointer
- * chase per probe).  A timestamp-LRU variant (scan + one stamp store)
- * was measured and rejected: the GEMM streams miss almost always, and
- * its miss path chains a second serial min-scan for the victim where
- * the MRU order gives the victim for free (the tail), costing ~1.6x
- * per access on the real line streams.
+ * Tags live in one contiguous array of l1Sets x l1Ways entries, so an
+ * access is a short linear scan with no allocation after
+ * construction.  Each set is a *circular* MRU list: a per-set head
+ * index marks the MRU slot and logical recency position d lives at
+ * physical slot (head + d) % ways.  A miss inserts by stepping the
+ * head back onto the LRU tail and overwriting it in place -- one
+ * store where a flat MRU-first array shifts ways-1 words -- and the
+ * GEMM streams miss almost always, so the miss path is the one that
+ * pays.  Hits rotate the short logical prefix.  The hit/miss sequence
+ * is exact LRU.
  */
 
 #ifndef VEGETA_CPU_CACHE_HPP
 #define VEGETA_CPU_CACHE_HPP
 
-#include <cstring>
 #include <vector>
 
 #include "common/types.hpp"
@@ -45,75 +44,29 @@ class CacheModel
   public:
     explicit CacheModel(CacheConfig config = {});
 
-    /**
-     * Access one line-aligned address; returns the load-use latency.
-     * Defined inline: this is called once per touched cache line by
-     * the replay loop, the hottest call site in the simulator.
-     */
+    /** Access one line; returns its load-use latency. */
     Cycles
     accessLine(Addr addr)
     {
-        // lineBytes / l1Sets are powers of two (checked at
-        // construction): shift + mask instead of runtime div/mod,
-        // which would otherwise dominate the per-line cost.
-        const u64 line = addr >> line_shift_;
-        const u32 ways = config_.l1Ways;
-        u64 *set = tags_.data() + (line & set_mask_) * ways;
-
-        // Branchless fixed-length scan (a tag can match at most one
-        // way; empty ways hold kInvalidTag and never match): the only
-        // data-dependent branch left is the single hit/miss test,
-        // instead of two exits per way.
-        u32 hit_way = ways;
-        for (u32 w = 0; w < ways; ++w)
-            if (set[w] == line)
-                hit_way = w;
-
-        if (hit_way == ways) {
-            // Miss: every way shifts down one slot; the LRU tail
-            // drops off.
-            ++misses_;
-            rotateToFront(set, ways - 1, line);
-            return config_.l2Latency;
-        }
-
-        // Hit at depth hit_way: rotate it to the MRU front.
-        ++hits_;
-        rotateToFront(set, hit_way, line);
-        return config_.l1Latency;
+        Cycles latency = 0;
+        probeSpan(addr, 0, 1, &latency);
+        return latency;
     }
 
     /**
-     * Shift set[0..depth) down one slot and install @p line at the MRU
-     * front.  An open-coded backward copy: the shift is 0..11 words,
-     * where a variable-length memmove costs more in libc dispatch than
-     * the move itself (this runs once per line access, the hottest
-     * loop of the replayer).
+     * Access @p count lines in order: out[i] receives the latency of
+     * addr + i * stride.  The replayer batches each op's line probes
+     * through this: the geometry stays in registers across the span
+     * and the scan + eviction bodies run with a compile-time way
+     * count (specialized for 4, 8, 12 and 16 ways), neither of which
+     * the compiler does for repeated single-line calls.
      */
-    static void
-    rotateToFront(u64 *set, u32 depth, u64 line)
-    {
-        for (u32 w = depth; w > 0; --w)
-            set[w] = set[w - 1];
-        set[0] = line;
-    }
-
-    /** Aggregate of one multi-line range access. */
-    struct RangeAccess
-    {
-        Cycles maxLatency = 0; ///< slowest touched line
-        u32 lines = 0;         ///< cache lines the range spans
-    };
-
-    /**
-     * Access every line of [addr, addr + bytes) in ascending order;
-     * returns the aggregate (no per-call allocation).
-     */
-    RangeAccess accessRange(Addr addr, u32 bytes);
+    void probeSpan(Addr addr, u64 stride, u64 count, Cycles *out);
 
     u64 hits() const { return hits_; }
     u64 misses() const { return misses_; }
 
+    /** Invalidate every line and zero the counters. */
     void reset();
 
     const CacheConfig &config() const { return config_; }
@@ -124,121 +77,12 @@ class CacheModel
     CacheConfig config_;
     u32 line_shift_ = 6; ///< log2(lineBytes)
     u64 set_mask_ = 63;  ///< l1Sets - 1
-    /** l1Sets x l1Ways line tags, MRU first (kInvalidTag = empty). */
-    std::vector<u64> tags_;
-    u64 hits_ = 0;
-    u64 misses_ = 0;
-};
-
-/**
- * Lane-banked variant of CacheModel for the struct-of-arrays replay
- * core: one contiguous tag array holds every lane's bank back to back,
- * with the per-lane geometry (shift, mask, ways, latencies, bank base)
- * in parallel arrays indexed by lane.  Lanes may have heterogeneous
- * configurations (sweep packs mix engines and cores); each bank
- * behaves bit-identically to a standalone CacheModel with that lane's
- * CacheConfig.
- *
- * Unlike CacheModel, each set is a *circular* MRU list: a per-set head
- * index marks the MRU slot and logical recency position d lives at
- * physical slot (head + d) % ways.  A miss then inserts by stepping
- * the head back and overwriting the tail in place -- one store --
- * where the flat MRU array shifted ways-1 words per miss; the GEMM
- * streams miss almost always, so the miss path is the one that pays.
- * Hits rotate the short logical prefix like the flat layout.  The
- * hit/miss sequence (exact LRU) is identical either way.
- */
-class LaneCacheModel
-{
-  public:
-    explicit LaneCacheModel(const std::vector<CacheConfig> &configs);
-
-    /** Access one line-aligned address in @p lane's bank; returns the
-     *  load-use latency.  Inline: the hottest replay call site. */
-    Cycles
-    accessLine(u32 lane, Addr addr)
-    {
-        const u64 line = addr >> line_shift_[lane];
-        const u32 ways = ways_[lane];
-        const u64 set_idx = line & set_mask_[lane];
-        u64 *set = tags_.data() + bank_base_[lane] + set_idx * ways;
-        u32 *head = heads_.data() + head_base_[lane] + set_idx;
-
-        // Branchless fixed-length scan over the physical slots (a tag
-        // can match at most one way; recency order does not affect
-        // matching).
-        u32 hit_way = ways;
-        for (u32 w = 0; w < ways; ++w)
-            if (set[w] == line)
-                hit_way = w;
-
-        if (hit_way == ways) {
-            // Miss: step the head back onto the LRU tail and
-            // overwrite it in place -- the one-store eviction the
-            // circular layout exists for.
-            ++misses_[lane];
-            const u32 h = *head == 0 ? ways - 1 : *head - 1;
-            set[h] = line;
-            *head = h;
-            return l2_latency_[lane];
-        }
-
-        // Hit at logical depth d: rotate the logical prefix [0, d)
-        // one step so the line becomes MRU (d is usually small when
-        // hits happen at all).
-        ++hits_[lane];
-        const u32 h = *head;
-        u32 d = hit_way >= h ? hit_way - h : hit_way + ways - h;
-        for (; d > 0; --d) {
-            const u32 to = h + d >= ways ? h + d - ways : h + d;
-            const u32 from = to == 0 ? ways - 1 : to - 1;
-            set[to] = set[from];
-        }
-        set[h] = line;
-        return l1_latency_[lane];
-    }
-
-    /**
-     * Probe @p count lines in one call: out[i] receives exactly what
-     * accessLine(lane, addr + i * stride) would return, in order.
-     * The replayer batch-hoists each op's line probes through this:
-     * the bank geometry loads hoist out of the loop and the scan +
-     * eviction bodies run with a compile-time way count (specialized
-     * for the common associativities), neither of which the compiler
-     * can do for repeated accessLine calls.
-     */
-    void probeSpan(u32 lane, Addr addr, u64 stride, u64 count,
-                   Cycles *out);
-
-    u64 hits(u32 lane) const { return hits_[lane]; }
-    u64 misses(u32 lane) const { return misses_[lane]; }
-
-    /** Invalidate one lane's bank and zero its counters. */
-    void resetLane(u32 lane);
-    /** Reset every lane. */
-    void reset();
-
-    const CacheConfig &config(u32 lane) const { return configs_[lane]; }
-
-  private:
-    static constexpr u64 kInvalidTag = ~u64{0};
-
-    std::vector<CacheConfig> configs_;
-    // Per-lane geometry, parallel arrays indexed by lane.
-    std::vector<u32> line_shift_;
-    std::vector<u32> ways_;
-    std::vector<u64> set_mask_;
-    std::vector<Cycles> l1_latency_;
-    std::vector<Cycles> l2_latency_;
-    std::vector<std::size_t> bank_base_; ///< lane's offset into tags_
-    std::vector<std::size_t> bank_size_;
-    std::vector<std::size_t> head_base_; ///< lane's offset into heads_
-    /** All lanes' tag banks, back to back. */
+    /** l1Sets x l1Ways line tags (kInvalidTag = empty). */
     std::vector<u64> tags_;
     /** Per-set MRU slot index (circular recency order). */
     std::vector<u32> heads_;
-    std::vector<u64> hits_;
-    std::vector<u64> misses_;
+    u64 hits_ = 0;
+    u64 misses_ = 0;
 };
 
 } // namespace vegeta::cpu

@@ -15,25 +15,65 @@
  * (stage pipelining + output forwarding) is delegated to
  * engine::PipelineModel.
  *
- * The replayer is a streaming consumer: feed ops one at a time with
- * step() (or as a TraceSink via emit()) and collect statistics with
- * finish().  The scheduler itself lives in cpu::LaneReplayer
- * (lane_replayer.hpp), the struct-of-arrays core that replays K
- * independent traces in interleaved lanes; TraceCpu is its one-lane
- * facade, so single-stream and lane-batched replay share every line
- * of scheduling code and cannot drift apart (CoreConfig and SimResult
- * are defined alongside the core).  Nothing on the per-op path
- * allocates.
+ * The replayer is a streaming consumer of one trace: feed ops one at
+ * a time with step() (or as a TraceSink via emit()) and collect
+ * statistics with finish().  Nothing on the per-op path allocates:
+ * the unit pools and rename table are fixed arrays, the dispatch/
+ * retire windows and the load buffer are rings sized at
+ * construction, and the two dependence maps are open-addressed
+ * FlatCycleMaps that keep their capacity across streams.  A memory
+ * op's cache probes run as one CacheModel::probeSpan call ahead of
+ * its serial issue loop (docs/REPLAY.md).
  */
 
 #ifndef VEGETA_CPU_TRACE_CPU_HPP
 #define VEGETA_CPU_TRACE_CPU_HPP
 
-#include "cpu/lane_replayer.hpp"
+#include <array>
+#include <map>
+#include <vector>
+
+#include "cpu/cache.hpp"
+#include "cpu/flat_map.hpp"
+#include "cpu/trace_sink.hpp"
+#include "engine/pipeline.hpp"
 
 namespace vegeta::cpu {
 
-/** The trace-driven core: a streaming replayer (one lane). */
+/** Core parameters (defaults follow Section VI-B). */
+struct CoreConfig
+{
+    u32 fetchWidth = 4;
+    u32 retireWidth = 4;
+    u32 robEntries = 97;
+    u32 loadBufferEntries = 96;
+    u32 frontEndDepth = 16; ///< 16-stage pipeline fill
+    u32 numAlus = 4;
+    u32 numLsuPorts = 2;
+    u32 numVectorFus = 2;
+    Cycles vectorFmaLatency = 4;
+    /** Core-to-engine clock ratio (2 GHz core / 0.5 GHz engine). */
+    u32 engineClockDivider = 4;
+    bool outputForwarding = false;
+    CacheConfig cache;
+};
+
+/** Simulation outputs. */
+struct SimResult
+{
+    Cycles totalCycles = 0; ///< core cycles until last retirement
+    u64 retiredOps = 0;
+    std::map<UopKind, u64> kindCounts;
+    u64 engineInstructions = 0;
+    Cycles engineLastFinish = 0; ///< core cycle of last engine finish
+    u64 cacheHits = 0;
+    u64 cacheMisses = 0;
+
+    /** Engine MAC utilization over the whole run (0..1). */
+    double macUtilization = 0.0;
+};
+
+/** The trace-driven core: a streaming single-trace replayer. */
 class TraceCpu final : public TraceSink
 {
   public:
@@ -43,50 +83,99 @@ class TraceCpu final : public TraceSink
      * Begin a fresh simulation from a cold pipeline, discarding any
      * partially-stepped stream.  Keeps every allocation.
      */
-    void
-    reset()
-    {
-        lanes_.resetLane(0);
-    }
+    void reset();
 
     /** Schedule the next op of the stream. */
-    void
-    step(const TraceOp &op)
-    {
-        lanes_.step(0, op);
-    }
+    void step(const TraceOp &op);
 
     /** TraceSink: kernels emit uops straight into the scheduler. */
     void
     emit(const TraceOp &op) override
     {
-        lanes_.step(0, op);
+        step(op);
     }
 
     /**
      * Statistics of the stream stepped since the last reset; leaves
      * the model reset for the next stream.
      */
-    SimResult
-    finish()
-    {
-        return lanes_.finishLane(0);
-    }
+    SimResult finish();
 
     /** Batch convenience: reset, step every op, finish. */
     SimResult run(const Trace &trace);
 
-    const CoreConfig &coreConfig() const
-    {
-        return lanes_.coreConfig(0);
-    }
+    const CoreConfig &coreConfig() const { return core_; }
     const engine::EngineConfig &engineConfig() const
     {
-        return lanes_.engineConfig(0);
+        return engine_config_;
     }
 
   private:
-    LaneReplayer lanes_;
+    /** Line size memory traffic splits at (Section V-F). */
+    static constexpr u32 kLineBytes = 64;
+    /** Widest supported functional-unit pool. */
+    static constexpr u32 kMaxUnits = 16;
+    /** Longest line range whose cache probes are batched. */
+    static constexpr u32 kProbeBatch = 64;
+
+    using UnitPool = std::array<Cycles, kMaxUnits>;
+
+    Cycles toEngineCycles(Cycles core) const;
+    Cycles toCoreCycles(Cycles eng) const;
+
+    /**
+     * Acquire the earliest-free of the pool's first @p units units;
+     * each issue occupies the unit for 1 cycle.
+     */
+    static Cycles acquireUnit(UnitPool &pool, u32 units,
+                              Cycles earliest);
+
+    /** Issue [addr, addr+bytes) line by line; returns completion. */
+    Cycles issueLineRange(Cycles earliest, Addr addr, u64 bytes);
+    /** Mark every line of [addr, addr+bytes) store-owned. */
+    void recordStoreRange(Cycles data_ready, Addr addr, u64 bytes);
+
+    CoreConfig core_;
+    engine::EngineConfig engine_config_;
+    CacheModel cache_;
+    engine::PipelineModel engine_;
+
+    UnitPool alu_free_{};
+    UnitPool lsu_free_{};
+    UnitPool vec_free_{};
+
+    // Dispatch/retire windows: the scheduler looks back at most
+    // max(fetchWidth, retireWidth, robEntries) ops, so op i lives at
+    // slot i & ring_mask_ of a power-of-two ring.
+    std::vector<Cycles> dispatch_ring_;
+    std::vector<Cycles> retire_ring_;
+    u64 ring_mask_ = 0;
+
+    /** Completion time of each of the last loadBufferEntries fills. */
+    std::vector<Cycles> load_buffer_;
+    u64 lb_fills_ = 0;
+    u32 lb_cursor_ = 0;
+
+    // Rename table over the 16-entry physical dep-id space: when each
+    // register's value is ready, and whether the engine produced it.
+    std::array<Cycles, isa::kNumDepRegs> rename_ready_{};
+    std::array<u8, isa::kNumDepRegs> rename_engine_{};
+
+    FlatCycleMap vector_chains_;
+    /** Store-to-load memory dependence at cache-line granularity. */
+    FlatCycleMap store_line_ready_;
+    // Bounding box of all stored lines: loads outside it (the bulk of
+    // A/B tile traffic) skip the dependence probe.
+    u64 stored_line_min_ = ~u64{0};
+    u64 stored_line_max_ = 0;
+
+    // Statistics of the current stream.
+    u64 ops_ = 0;
+    Cycles last_retire_ = 0;
+    std::array<u64, 8> kind_counts_{};
+    u64 engine_instructions_ = 0;
+    Cycles engine_last_finish_ = 0;
+    u64 effectual_macs_ = 0;
 };
 
 } // namespace vegeta::cpu

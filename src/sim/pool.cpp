@@ -169,8 +169,7 @@ ProcessPool::run(const Session &session,
                 return fail("cannot open cache dir: " +
                             options_.cacheDir);
         }
-        out.results = local.runBatch(jobs, options_.threadsPerWorker,
-                                     options_.laneWidth);
+        out.results = local.runBatch(jobs, options_.threadsPerWorker);
         out.stats.simulationsPerformed = local.simulationsPerformed();
         out.stats.analysesPerformed = local.analysesPerformed();
         out.stats.usedProcessPool = false;
@@ -270,10 +269,6 @@ ProcessPool::run(const Session &session,
                         {"--cache-dir", options_.cacheDir});
         argv.insert(argv.end(),
                     {"--threads", std::to_string(worker_threads)});
-        if (options_.laneWidth > 0)
-            argv.insert(argv.end(),
-                        {"--lanes",
-                         std::to_string(options_.laneWidth)});
         shards[w].pid = spawnWorker(argv);
         if (shards[w].pid < 0) {
             // Reap whatever already started before reporting.
@@ -368,7 +363,6 @@ poolWorkerMain(const std::vector<std::string> &args)
 {
     std::string jobs_path, out_path, cache_dir;
     u32 threads = 0;
-    u32 lanes = 0;
 
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
@@ -406,17 +400,6 @@ poolWorkerMain(const std::vector<std::string> &args)
                 return 2;
             }
             threads = *parsed;
-        } else if (arg == "--lanes") {
-            const auto *v = value();
-            if (!v)
-                return 2;
-            const auto parsed = parseU32(*v);
-            if (!parsed || *parsed == 0) {
-                std::cerr << "pool worker: bad --lanes value '" << *v
-                          << "'\n";
-                return 2;
-            }
-            lanes = *parsed;
         } else {
             std::cerr << "pool worker: unknown option " << arg << "\n";
             return 2;
@@ -463,7 +446,7 @@ poolWorkerMain(const std::vector<std::string> &args)
     }
 
     const u64 replay_start = telemetry::nowNs();
-    const auto results = session.runBatch(*jobs, threads, lanes);
+    const auto results = session.runBatch(*jobs, threads);
     telemetry::recordNs(replay_timer,
                         telemetry::nowNs() - replay_start);
 

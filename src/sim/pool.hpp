@@ -78,14 +78,6 @@ struct PoolOptions
     bool keepFiles = false;
 
     /**
-     * Lane width each worker's runBatch uses for lane-batched replay
-     * (Session::runBatch lane packs).  0 keeps the session default
-     * (Session::defaultLaneWidth()); either way the merged results
-     * are bit-identical.
-     */
-    u32 laneWidth = 0;
-
-    /**
      * Batch-size planner: batches with fewer UNIQUE jobs than this
      * run on an in-process fallback (a fresh builtin Session with
      * the same caches the workers would attach) instead of paying

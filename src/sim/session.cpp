@@ -5,7 +5,7 @@
 
 #include "common/logging.hpp"
 #include "common/stats.hpp"
-#include "cpu/lane_replayer.hpp"
+#include "cpu/trace_cpu.hpp"
 #include "cpu/trace_io.hpp"
 #include "sim/telemetry.hpp"
 
@@ -53,8 +53,8 @@ class CheckedReplay final : public cpu::TraceSink
     std::string error_;
 };
 
-// Cache-probe outcome counters, shared by run() and runSimPack() so
-// the two probe sequences report identically.
+// Cache-probe outcome counters, shared by the simulation and
+// analysis probe sequences.
 void
 countMemoryHit()
 {
@@ -316,9 +316,9 @@ Session::jobError(const Job &job) const
 JobResult
 Session::run(const Job &job) const
 {
-    // One "session.job" span per job materialized here; runSimPack
-    // emits the same span for pack members, so a trace's span count
-    // equals the batch's unique job count.
+    // One "session.job" span per job run here: runBatch runs each
+    // unique job once through this, so a trace's span count equals
+    // the batch's unique job count.
     telemetry::Span span("session.job");
     JobResult result;
     result.kind = job.kind;
@@ -329,162 +329,8 @@ Session::run(const Job &job) const
     return result;
 }
 
-u32
-Session::defaultLaneWidth()
-{
-    // Chosen from the committed BENCH_replay trajectory's lane_replay
-    // rows: on the benchmarking host, lane-interleaved replay runs at
-    // 0.75-0.9x of back-to-back single-stream replays for every
-    // measured K (the workload's dependence chains are short enough
-    // that the host pipeline is already full with one stream), so
-    // batches default to plain single-stream execution.  The knob
-    // pays on hosts where a single stream leaves the out-of-order
-    // window idle; raise it (--lanes / laneWidth) after measuring
-    // bench_replay_throughput's lane_replay rows on the target.
-    return 1;
-}
-
-void
-Session::runSimPack(const std::vector<Job> &jobs,
-                    const std::vector<std::size_t> &pack,
-                    std::vector<JobResult> &results) const
-{
-    // One miss's materialized trace in flight per lane; sub-packs
-    // flush at this many buffered uops (~192 MB at 48 B/op) so a pack
-    // of huge traces cannot hold the whole batch in memory at once.
-    static constexpr u64 kPackUopBudget = u64{4} * 1024 * 1024;
-
-    struct Miss
-    {
-        std::size_t index = 0;
-        std::string key;
-        engine::EngineConfig engine;
-        u32 executedN = 0;
-        u64 tileComputes = 0;
-        cpu::Trace trace;
-    };
-
-    // Cache probes first, exactly as run() would consult them; only
-    // the misses replay.
-    std::vector<std::size_t> missing;
-    for (const std::size_t i : pack) {
-        telemetry::Span span("session.job");
-        results[i].kind = JobKind::Simulation;
-        if (!cache_ && !disk_cache_) {
-            missing.push_back(i);
-            continue;
-        }
-        const std::string key = cacheKey(jobs[i].simulation);
-        if (cache_) {
-            if (auto hit = cache_->find(key)) {
-                countMemoryHit();
-                results[i].simulation = *hit;
-                continue;
-            }
-        }
-        if (disk_cache_) {
-            if (auto hit = disk_cache_->find(key)) {
-                countDiskHit();
-                if (cache_)
-                    cache_->insert(key, *hit);
-                results[i].simulation = *hit;
-                continue;
-            }
-        }
-        countMiss();
-        missing.push_back(i);
-    }
-    if (missing.empty())
-        return;
-
-    auto publish = [&](const std::size_t i, const std::string &key,
-                       SimulationResult result) {
-        if (cache_)
-            cache_->insert(key, result);
-        if (disk_cache_)
-            disk_cache_->insert(key, result);
-        results[i].simulation = std::move(result);
-    };
-
-    if (missing.size() == 1) {
-        // A lone miss keeps the streaming path: the kernel emits uops
-        // straight into the scheduler, no trace is materialized.
-        const std::size_t i = missing[0];
-        publish(i, cacheKey(jobs[i].simulation),
-                runUncached(jobs[i].simulation, nullptr));
-        return;
-    }
-
-    // Lane-batched replay: materialize each miss's trace, then replay
-    // the sub-pack on one struct-of-arrays LaneReplayer.  Lanes share
-    // no state, so each lane's result is bit-identical to the
-    // streaming single-stream run (the golden equivalence tests pin
-    // this per K).
-    std::vector<Miss> lanes;
-    u64 buffered_uops = 0;
-    auto flush = [&]() {
-        if (lanes.empty())
-            return;
-        telemetry::Span span("session.pack.replay", lanes.size());
-        std::vector<cpu::LaneReplayer::LaneSpec> specs;
-        std::vector<const cpu::Trace *> traces;
-        specs.reserve(lanes.size());
-        traces.reserve(lanes.size());
-        for (const Miss &miss : lanes) {
-            specs.push_back(
-                {coreFor(jobs[miss.index].simulation, miss.engine),
-                 miss.engine});
-            traces.push_back(&miss.trace);
-        }
-        cpu::LaneReplayer replayer(specs);
-        const auto sims = replayer.replay(traces);
-        for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
-            Miss &miss = lanes[lane];
-            const SimulationRequest &request =
-                jobs[miss.index].simulation;
-            simulations_.fetch_add(1, std::memory_order_relaxed);
-            publish(miss.index, miss.key,
-                    fromSimResult(sims[lane], miss.engine, request,
-                                  kernelVariantName(request.kernel),
-                                  miss.executedN, miss.tileComputes));
-        }
-        lanes.clear();
-        buffered_uops = 0;
-    };
-
-    telemetry::Span assemble_span("session.pack.assemble",
-                                  missing.size());
-    for (const std::size_t i : missing) {
-        if (!lanes.empty() && buffered_uops >= kPackUopBudget)
-            flush();
-        const SimulationRequest &request = jobs[i].simulation;
-        const auto engine = engines_.find(request.engine);
-        VEGETA_ASSERT(engine.has_value(), "unregistered engine ",
-                      request.engine);
-        Miss miss;
-        miss.index = i;
-        miss.key = (cache_ || disk_cache_)
-                       ? cacheKey(request)
-                       : std::string();
-        miss.engine = *engine;
-        miss.executedN = engine->effectiveN(request.patternN);
-        kernels::KernelOptions opts;
-        opts.optimized = request.kernel == KernelVariant::Optimized;
-        opts.cBlocking = request.cBlocking;
-        opts.traceOnly = true;
-        kernels::KernelRun kernel_run = kernels::runSpmmKernel(
-            request.gemm, miss.executedN, opts);
-        miss.tileComputes = kernel_run.tileComputes;
-        miss.trace = std::move(kernel_run.trace);
-        buffered_uops += miss.trace.size();
-        lanes.push_back(std::move(miss));
-    }
-    flush();
-}
-
 std::vector<JobResult>
-Session::runBatch(const std::vector<Job> &jobs, u32 threads,
-                  u32 lane_width) const
+Session::runBatch(const std::vector<Job> &jobs, u32 threads) const
 {
     std::vector<JobResult> results(jobs.size());
     if (jobs.empty())
@@ -506,8 +352,6 @@ Session::runBatch(const std::vector<Job> &jobs, u32 threads,
         const unsigned hw = std::thread::hardware_concurrency();
         threads = hw == 0 ? 1 : static_cast<u32>(hw);
     }
-    if (lane_width == 0)
-        lane_width = defaultLaneWidth();
 
     // Batch-level dedupe before dispatch: jobs with equal canonical
     // keys are guaranteed to produce bit-identical results, so only
@@ -530,60 +374,23 @@ Session::runBatch(const std::vector<Job> &jobs, u32 threads,
     }
     telemetry::add(unique_id, unique.size());
 
-    // The work units: every unique job on its own at lane_width 1;
-    // otherwise unique simulation jobs chunk into packs of up to
-    // lane_width (in batch order), each replayed lane-batched, while
-    // analysis jobs stay singleton tasks.
-    std::vector<std::vector<std::size_t>> tasks;
-    if (lane_width <= 1) {
-        tasks.reserve(unique.size());
-        for (const std::size_t i : unique)
-            tasks.push_back({i});
-    } else {
-        std::vector<std::size_t> sims;
-        for (const std::size_t i : unique) {
-            if (jobs[i].kind == JobKind::Analysis) {
-                tasks.push_back({i});
-                continue;
-            }
-            sims.push_back(i);
-            if (sims.size() >= lane_width) {
-                tasks.push_back(std::move(sims));
-                sims.clear();
-            }
-        }
-        if (!sims.empty())
-            tasks.push_back(std::move(sims));
-    }
-
-    auto runTask = [&](const std::vector<std::size_t> &task) {
-        if (task.size() == 1 && lane_width <= 1) {
-            results[task[0]] = run(jobs[task[0]]);
-        } else if (task.size() == 1 &&
-                   jobs[task[0]].kind == JobKind::Analysis) {
-            results[task[0]] = run(jobs[task[0]]);
-        } else {
-            runSimPack(jobs, task, results);
-        }
-    };
-
     const u32 workers =
-        std::min<u32>(threads, static_cast<u32>(tasks.size()));
+        std::min<u32>(threads, static_cast<u32>(unique.size()));
     if (workers <= 1) {
-        for (const auto &task : tasks)
-            runTask(task);
+        for (const std::size_t i : unique)
+            results[i] = run(jobs[i]);
     } else {
         // Work-stealing by atomic index: each worker claims the next
-        // unclaimed task and writes into its slots, so the result
+        // unclaimed unique job and writes its slot, so the result
         // vector is independent of scheduling.
         std::atomic<std::size_t> next{0};
         auto worker = [&]() {
             for (;;) {
                 const std::size_t t =
                     next.fetch_add(1, std::memory_order_relaxed);
-                if (t >= tasks.size())
+                if (t >= unique.size())
                     return;
-                runTask(tasks[t]);
+                results[unique[t]] = run(jobs[unique[t]]);
             }
         };
 
@@ -610,13 +417,13 @@ Session::runBatchPooled(const std::vector<Job> &jobs,
 
 std::vector<SimulationResult>
 Session::runBatch(const std::vector<SimulationRequest> &requests,
-                  u32 threads, u32 lane_width) const
+                  u32 threads) const
 {
     std::vector<Job> jobs;
     jobs.reserve(requests.size());
     for (const auto &request : requests)
         jobs.push_back(Job::simulate(request));
-    auto job_results = runBatch(jobs, threads, lane_width);
+    auto job_results = runBatch(jobs, threads);
     std::vector<SimulationResult> results;
     results.reserve(job_results.size());
     for (auto &r : job_results)

@@ -169,33 +169,20 @@ class Session
      * Run every job on a pool of @p threads workers (0 picks the
      * hardware concurrency); `results[i]` corresponds to `jobs[i]`.
      * Jobs that repeat within the batch (equal canonical job keys)
-     * run once and fan their result out to every duplicate slot.
-     *
-     * @p lane_width groups the batch's uncached simulation jobs into
-     * packs replayed lane-batched on one struct-of-arrays LaneReplayer
-     * (cpu/lane_replayer.hpp) instead of one TraceCpu each; 0 picks
-     * defaultLaneWidth() and 1 keeps plain single-stream execution.
+     * run once and fan their result out to every duplicate slot;
+     * each unique job is one task on run()'s streaming path.
      *
      * Deterministic: the batch output is bit-for-bit identical for
-     * any thread count and any lane width (the replayer's lanes share
-     * no state -- see the bit-exactness contract), with or without
-     * the in-memory or persistent caches attached.
+     * any thread count, with or without the in-memory or persistent
+     * caches attached.
      */
     std::vector<JobResult> runBatch(const std::vector<Job> &jobs,
-                                    u32 threads = 0,
-                                    u32 lane_width = 0) const;
+                                    u32 threads = 0) const;
 
     /** Trace-only convenience overload of runBatch. */
     std::vector<SimulationResult>
     runBatch(const std::vector<SimulationRequest> &requests,
-             u32 threads = 0, u32 lane_width = 0) const;
-
-    /**
-     * The lane width runBatch uses when the caller passes 0, chosen
-     * from the committed BENCH_replay trajectory's lane_replay rows
-     * (bench/bench_replay_throughput.cpp re-measures them per commit).
-     */
-    static u32 defaultLaneWidth();
+             u32 threads = 0) const;
 
     /**
      * Run a batch sharded over worker PROCESSES (see sim/pool.hpp):
@@ -251,17 +238,6 @@ class Session
 
     SimulationResult runUncached(const SimulationRequest &request,
                                  cpu::TraceSink *tee) const;
-
-    /**
-     * Run the simulation jobs at @p pack (indices into @p jobs) as
-     * one lane pack: cache hits fill their slots directly, and the
-     * misses' traces are materialized and replayed lane-batched on
-     * one LaneReplayer (sub-packs bounded by a trace-memory budget).
-     * results[i] is bit-identical to run(jobs[i]) for every slot.
-     */
-    void runSimPack(const std::vector<Job> &jobs,
-                    const std::vector<std::size_t> &pack,
-                    std::vector<JobResult> &results) const;
 
     EngineRegistry engines_;
     WorkloadRegistry workloads_;

@@ -235,8 +235,7 @@ Tuner::replayCandidates(std::vector<TuneCandidate *> &picks) const
                         error.c_str());
     }
     if (results.empty())
-        results = session_.runBatch(requests, options_.threads,
-                                    options_.laneWidth);
+        results = session_.runBatch(requests, options_.threads);
 
     VEGETA_ASSERT(results.size() == picks.size(),
                   "replay batch size mismatch");

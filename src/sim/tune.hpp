@@ -17,7 +17,7 @@
  *     those records re-ranks the estimates.
  *  3. replay confirmation -- only the top-ranked points, strictly
  *     bounded by TuneBudget::replays, run the real cycle model via
- *     Session::runBatch (inheriting lane batching and both caches) or
+ *     Session::runBatch (inheriting thread pooling and both caches) or
  *     via a SimClient when an address is configured.
  *
  * Two search strategies share this funnel: CappedExhaustive scores
@@ -28,9 +28,9 @@
  *
  * Determinism contract: for a fixed space, options, and persistent
  * cache state, run() -- and the byte stream of writeJson/writeCsv --
- * is identical for any thread count, lane width, and execution path
- * (local or service), because replay itself is bit-deterministic and
- * every ranking step sorts with a total order (ties broken by
+ * is identical for any thread count and execution path (local or
+ * service), because replay itself is bit-deterministic and every
+ * ranking step sorts with a total order (ties broken by
  * tunePointKey).
  */
 
@@ -85,9 +85,6 @@ struct TuneOptions
 
     /** Replay batch threads (0 = hardware concurrency). */
     u32 threads = 0;
-
-    /** Replay lane width (0 = Session::defaultLaneWidth()). */
-    u32 laneWidth = 0;
 
     /** When non-empty, confirm replays on this sim service address. */
     std::string connectAddress;

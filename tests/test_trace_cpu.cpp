@@ -208,6 +208,23 @@ TEST(TraceCpu, StoreToLoadDependenceEnforced)
     EXPECT_GE(dependent.totalCycles, independent.totalCycles);
 }
 
+TEST(TraceCpu, LoadBufferOccupancyLimitsFills)
+{
+    // Each line fill holds a load-buffer entry until it completes:
+    // with 2 entries, 64 cold loads drain 2 fills per L2 latency.
+    CoreConfig cfg = fastCore();
+    cfg.loadBufferEntries = 2;
+    Trace trace;
+    for (int i = 0; i < 64; ++i)
+        trace.push_back(TraceOp::load(static_cast<Addr>(i) * 64, 4));
+    const auto tight = TraceCpu(cfg, engine::vegetaD12()).run(trace);
+    EXPECT_GE(tight.totalCycles, 32 * cfg.cache.l2Latency);
+
+    const auto roomy =
+        TraceCpu(fastCore(), engine::vegetaD12()).run(trace);
+    EXPECT_LT(roomy.totalCycles, 4 * cfg.cache.l2Latency);
+}
+
 TEST(TraceCpu, NaiveCLoopSerializesThroughMemory)
 {
     // Listing-1-style pattern: compute -> store C -> load C -> compute

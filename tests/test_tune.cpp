@@ -5,7 +5,7 @@
  * Pins the funnel's contracts: the validity predicates are
  * conservative (they never reject a configuration the Figure 13 /
  * Table IV evaluation actually runs), budgets are strictly honored,
- * seeded search is bit-deterministic across thread and lane counts,
+ * seeded search is bit-deterministic across thread counts,
  * the capped-exhaustive strategy on the 45-point figure13 space finds
  * the same optimum as a full-replay sweep, and the ridge cost model
  * round-trips both a synthetic monotone space and a real cache record.
@@ -144,9 +144,9 @@ TEST(Tuner, AnalysisBudgetCapsStageTwo)
 
 // --- determinism -----------------------------------------------------
 
-TEST(Tuner, SeededHalvingIdenticalAcrossThreadsAndLanes)
+TEST(Tuner, SeededHalvingIdenticalAcrossThreads)
 {
-    const auto search = [](u32 threads, u32 lanes) {
+    const auto search = [](u32 threads) {
         Session session; // fresh per run: equal cache state
         const auto space =
             TuneSpace::full(session, {"quick-small"});
@@ -155,12 +155,11 @@ TEST(Tuner, SeededHalvingIdenticalAcrossThreadsAndLanes)
         options.budget.replays = 6;
         options.seed = 7;
         options.threads = threads;
-        options.laneWidth = lanes;
         return reportJson(Tuner(session, options).run(space));
     };
-    const auto baseline = search(1, 0);
-    EXPECT_EQ(baseline, search(3, 0));
-    EXPECT_EQ(baseline, search(2, 2));
+    const auto baseline = search(1);
+    EXPECT_EQ(baseline, search(3));
+    EXPECT_EQ(baseline, search(2));
 }
 
 TEST(Tuner, DifferentSeedsMayDrawDifferentPoolsButStayValid)
