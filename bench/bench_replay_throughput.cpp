@@ -9,9 +9,6 @@
  *  - single-stream streaming simulation (kernel generator emitting
  *    straight into the replayer, no materialized trace),
  *  - a thread-pooled Session::runBatch grid (uops/sec),
- *  - the same grid sharded over worker PROCESSES (ProcessPool) at
- *    several worker counts -- the pooled-sweep scaling row (workers
- *    re-enter this binary through the hidden "worker" argv token),
  *  - peak RSS before and after materializing the largest trace (the
  *    streaming path's memory does not scale with trace length).
  *
@@ -59,7 +56,6 @@
 #include <vector>
 
 #include "cpu/trace_io.hpp"
-#include "sim/pool.hpp"
 #include "sim/session.hpp"
 #include "sim/telemetry.hpp"
 
@@ -235,12 +231,6 @@ hostJson()
 int
 main(int argc, char **argv)
 {
-    // Hidden pool-worker re-entry: the pooled-sweep measurement forks
-    // this binary back into itself with a shard file.
-    if (argc > 1 && std::string(argv[1]) == "worker")
-        return sim::poolWorkerMain(
-            std::vector<std::string>(argv + 2, argv + argc));
-
     bool smoke = false;
     std::string out_path = "BENCH_replay.json";
     std::string baseline_path;
@@ -446,127 +436,6 @@ main(int argc, char **argv)
                 grid.size(), sweep_threads, sweep_secs,
                 sweep_uops / sweep_secs / 1e6);
 
-    // Pooled-sweep scaling row: the same grid sharded over worker
-    // processes (each worker single-threaded so the row isolates
-    // process-level scaling).  No cache dir: every point is a cold
-    // compute, comparable across worker counts.
-    struct PoolPoint
-    {
-        u32 workers;
-        double seconds;
-        double uopsPerSec;
-    };
-    std::vector<sim::Job> pool_jobs;
-    pool_jobs.reserve(grid.size());
-    for (const auto &request : grid)
-        pool_jobs.push_back(sim::Job::simulate(request));
-    std::vector<PoolPoint> pool_points;
-    for (const u32 workers :
-         smoke ? std::vector<u32>{1, 2} : std::vector<u32>{1, 2, 4}) {
-        sim::PoolOptions options;
-        options.workers = workers;
-        options.threadsPerWorker = 1;
-        // This row measures the REAL process pool; the batch-size
-        // planner would otherwise route this sub-crossover grid to
-        // its in-process fallback.
-        options.minPooledJobs = 1;
-        double best_secs = 0;
-        u64 pool_uops = 0;
-        const int pool_reps = smoke ? 1 : 2;
-        for (int r = 0; r < pool_reps; ++r) {
-            const auto t0 = Clock::now();
-            const auto pooled =
-                simulator.runBatchPooled(pool_jobs, options);
-            const auto t1 = Clock::now();
-            if (!pooled.ok) {
-                std::cerr << "pooled sweep failed: " << pooled.error
-                          << "\n";
-                return 2;
-            }
-            u64 uops = 0;
-            for (const auto &res : pooled.results)
-                uops += res.simulation.instructions;
-            const double secs = seconds(t0, t1);
-            if (best_secs == 0 || secs < best_secs) {
-                best_secs = secs;
-                pool_uops = uops;
-            }
-        }
-        pool_points.push_back(
-            {workers, best_secs, pool_uops / best_secs});
-        std::printf("pool : %zu requests, %u workers, %.3fs best, "
-                    "%.2f Muops/s\n",
-                    grid.size(), workers,
-                    best_secs, pool_uops / best_secs / 1e6);
-    }
-
-    // Measured pool crossover: the smallest unique-job batch where
-    // sharding over 2 worker processes actually beats running the
-    // batch in-process.  defaultPoolCrossoverJobs() is pinned to this
-    // measurement's committed trajectory value (0 = the pool never
-    // won at any tested size on this host).
-    u32 measured_crossover = 0;
-    {
-        const std::vector<std::size_t> batch_sizes =
-            smoke ? std::vector<std::size_t>{2, 4}
-                  : std::vector<std::size_t>{2, 4, 8, 16};
-        const int crossover_reps = smoke ? 1 : 2;
-        for (const std::size_t size : batch_sizes) {
-            if (size > pool_jobs.size())
-                break;
-            const std::vector<sim::Job> subset(
-                pool_jobs.begin(),
-                pool_jobs.begin() +
-                    static_cast<std::ptrdiff_t>(size));
-            double inproc_secs = 0, pooled_secs = 0;
-            for (int r = 0; r < crossover_reps; ++r) {
-                // Fresh session per rep: its in-memory result cache
-                // must not turn later reps into lookups.
-                const auto t0 = Clock::now();
-                const sim::Session cold;
-                cold.runBatch(subset, 1);
-                const auto t1 = Clock::now();
-                const double secs = seconds(t0, t1);
-                if (inproc_secs == 0 || secs < inproc_secs)
-                    inproc_secs = secs;
-            }
-            sim::PoolOptions options;
-            options.workers = 2;
-            options.threadsPerWorker = 1;
-            options.minPooledJobs = 1; // force the real pool
-            for (int r = 0; r < crossover_reps; ++r) {
-                const auto t0 = Clock::now();
-                const auto pooled =
-                    simulator.runBatchPooled(subset, options);
-                const auto t1 = Clock::now();
-                if (!pooled.ok) {
-                    std::cerr << "crossover pool run failed: "
-                              << pooled.error << "\n";
-                    return 2;
-                }
-                const double secs = seconds(t0, t1);
-                if (pooled_secs == 0 || secs < pooled_secs)
-                    pooled_secs = secs;
-            }
-            std::printf("crossover: %3zu jobs  in-process %.3fs  "
-                        "pooled %.3fs\n",
-                        size, inproc_secs, pooled_secs);
-            if (pooled_secs < inproc_secs) {
-                measured_crossover = static_cast<u32>(size);
-                break;
-            }
-        }
-        if (measured_crossover != 0)
-            std::printf("crossover: pool wins from %u unique jobs "
-                        "(planner default %u)\n",
-                        measured_crossover,
-                        sim::defaultPoolCrossoverJobs());
-        else
-            std::printf("crossover: pool never won at tested sizes "
-                        "(planner default %u)\n",
-                        sim::defaultPoolCrossoverJobs());
-    }
-
     // One trajectory entry, compact (a single line) so the committed
     // file stays an append-only, diff-friendly series.
     if (commit.empty())
@@ -592,18 +461,7 @@ main(int argc, char **argv)
           << grid.size() << ", \"threads\": " << sweep_threads
           << ", \"seconds\": " << sweep_secs
           << ", \"uops_per_sec\": " << sweep_uops / sweep_secs
-          << "}, \"pool_sweep\": [";
-    for (std::size_t i = 0; i < pool_points.size(); ++i)
-        entry << (i ? ", " : "") << "{\"workers\": "
-              << pool_points[i].workers
-              << ", \"seconds\": " << pool_points[i].seconds
-              << ", \"uops_per_sec\": " << pool_points[i].uopsPerSec
-              << "}";
-    entry << "], \"pool_crossover_unique_jobs\": "
-          << sim::defaultPoolCrossoverJobs()
-          << ", \"pool_crossover_measured_jobs\": "
-          << measured_crossover
-          << ", \"memory_probe_uops\": " << big.uops
+          << "}, \"memory_probe_uops\": " << big.uops
           << ", \"stream_peak_rss_bytes\": " << stream_peak_rss
           << ", \"batch_peak_rss_bytes\": " << batch_peak_rss
           << ", \"telemetry_overhead\": {\"telemetry_build\": "

@@ -42,7 +42,6 @@
 #include <unistd.h>
 
 #include "sim/client.hpp"
-#include "sim/pool.hpp"
 #include "sim/request.hpp"
 #include "sim/result.hpp"
 #include "sim/server.hpp"
@@ -179,11 +178,15 @@ main(int argc, char **argv)
     sim::writeJson(local_json, local_results);
 
     // --- cold baseline: a fresh process per sweep ------------------
-    const std::string self = sim::currentExecutablePath();
-    if (self.empty()) {
+    char self_buf[4096];
+    const ssize_t self_len =
+        readlink("/proc/self/exe", self_buf, sizeof(self_buf) - 1);
+    if (self_len <= 0) {
         std::cerr << "cannot resolve own executable\n";
         return 2;
     }
+    const std::string self(self_buf,
+                           static_cast<std::size_t>(self_len));
     const int cold_reps = smoke ? 1 : 2;
     double cold_secs = 0;
     for (int r = 0; r < cold_reps; ++r) {
@@ -387,8 +390,7 @@ main(int argc, char **argv)
                 << ", \"jobs_per_sec\": " << warm_points[i].jobsPerSec
                 << "}";
     service << "], \"speedup_vs_cold_at_4_clients\": " << speedup
-            << ", \"pool_crossover_unique_jobs\": "
-            << sim::defaultPoolCrossoverJobs() << "}";
+            << "}";
 
     std::string entry;
     for (const auto &old :

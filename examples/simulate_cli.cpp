@@ -16,10 +16,10 @@
  * `run` and `sweep` accept --cache-dir DIR to attach the Session's
  * persistent result cache; `cache stats` prints its counters as JSON
  * and `cache prune` bounds the file under --max-bytes/--max-entries.
- * `sweep --workers N` shards the grid over N forked worker processes
- * (sim/pool.hpp) that re-enter this binary through the hidden
- * `worker` subcommand and share the --cache-dir; the merged output
- * is byte-identical to the single-process sweep.  Every numeric flag
+ * `sweep --workers N` deals the grid over N pre-forked worker
+ * processes (sim/workers.hpp, the same ones `serve --service-workers`
+ * runs) that share the --cache-dir; the merged output is
+ * byte-identical to the single-process sweep.  Every numeric flag
  * goes through the strict sim parsers (parseU32 / parseGemmSpec):
  * garbage or negative values are errors, never silently-zero atoi
  * results.
@@ -44,12 +44,13 @@
 
 #include "cpu/trace_io.hpp"
 #include "sim/client.hpp"
-#include "sim/pool.hpp"
+#include "sim/job_io.hpp"
 #include "sim/serial.hpp"
 #include "sim/server.hpp"
 #include "sim/session.hpp"
 #include "sim/telemetry.hpp"
 #include "sim/tune.hpp"
+#include "sim/workers.hpp"
 
 namespace {
 
@@ -115,7 +116,7 @@ usage(std::ostream &os)
           "  --workers N         shard over N worker processes\n"
           "                      (byte-identical to single-process)\n"
           "  --cache-dir DIR     attach the persistent result cache\n"
-          "                      (shared by all pool workers)\n"
+          "                      (shared by all workers)\n"
           "  --connect ADDR      run on a serve daemon instead of\n"
           "                      locally (byte-identical output)\n"
           "  --trace-out FILE    write a Chrome trace_event span\n"
@@ -298,6 +299,37 @@ runOnServer(const std::string &address,
         std::cerr << "error: " << error << "\n";
         return std::nullopt;
     }
+    return run;
+}
+
+/**
+ * Run a batch on @p count freshly forked workers (sim/workers.hpp)
+ * sharing @p cache_dir; nullopt (with the reason already printed) on
+ * failure.  Each worker's latest metrics snapshot is absorbed once,
+ * so a later --metrics-out covers the workers' counters.
+ */
+std::optional<sim::ClientRun>
+runOnWorkers(const std::vector<sim::Job> &jobs, u32 count,
+             const std::string &cache_dir, u32 threads)
+{
+    sim::WorkerSet workers;
+    std::string error;
+    std::optional<sim::WorkerOutput> output;
+    if (workers.start(count, cache_dir, threads, &error))
+        output = workers.run(jobs, &error);
+    for (const auto &worker : workers.status())
+        telemetry::absorb(worker.metrics);
+    std::optional<std::vector<sim::JobResult>> results;
+    if (output)
+        results = sim::resultsInJobOrder(jobs, *output, &error);
+    if (!results) {
+        std::cerr << "error: worker sweep failed: " << error << "\n";
+        return std::nullopt;
+    }
+    sim::ClientRun run;
+    run.results = std::move(*results);
+    run.simulationsPerformed = output->simulationsPerformed;
+    run.analysesPerformed = output->analysesPerformed;
     return run;
 }
 
@@ -666,7 +698,7 @@ cmdSweep(Args args)
     session.enableCache();
     if (!cache_dir.empty()) {
         if (workers > 0) {
-            // Pooled mode: the WORKERS open the shared cache; the
+            // Worker mode: the WORKERS open the shared cache; the
             // parent only checks the directory is usable instead of
             // loading a potentially large file it would never read.
             std::error_code ec;
@@ -725,50 +757,27 @@ cmdSweep(Args args)
 
     std::vector<sim::SimulationResult> results;
     u64 simulated = 0;
-    if (!connect_addr.empty()) {
-        // Service path: ship the grid to a serve daemon.  Results
-        // are bit-identical to the local batch, so stdout matches a
-        // local sweep byte for byte.
-        std::vector<sim::Job> jobs;
-        jobs.reserve(grid.size());
-        for (const auto &request : grid)
-            jobs.push_back(sim::Job::simulate(request));
-        const auto remote = runOnServer(connect_addr, jobs);
-        if (!remote)
-            return 2;
-        results.reserve(remote->results.size());
-        for (const auto &result : remote->results)
-            results.push_back(result.simulation);
-        simulated = remote->simulationsPerformed;
-    } else if (workers > 0) {
-        // Pooled path: shard the grid over forked worker processes
-        // re-entering this binary via the hidden `worker` subcommand.
-        // The merged batch is byte-identical to the in-process sweep.
-        std::vector<sim::Job> jobs;
-        jobs.reserve(grid.size());
-        for (const auto &request : grid)
-            jobs.push_back(sim::Job::simulate(request));
-        sim::PoolOptions options;
-        options.workers = workers;
-        options.cacheDir = cache_dir;
-        options.threadsPerWorker = threads;
-        // An explicit --workers N is a demand, not a hint: bypass
-        // the batch-size planner so small sweeps still shard exactly
-        // as requested.
-        options.minPooledJobs = 1;
-        const auto pooled = session.runBatchPooled(jobs, options);
-        if (!pooled.ok) {
-            std::cerr << "error: pooled sweep failed: " << pooled.error
-                      << "\n";
-            return 2;
-        }
-        results.reserve(pooled.results.size());
-        for (const auto &result : pooled.results)
-            results.push_back(result.simulation);
-        simulated = pooled.stats.simulationsPerformed;
-    } else {
+    if (connect_addr.empty() && workers == 0) {
         results = session.runBatch(grid, threads);
         simulated = session.simulationsPerformed();
+    } else {
+        // Out of process: a serve daemon, or pre-forked workers.
+        // Results are bit-identical to the local batch, so stdout
+        // matches a local sweep byte for byte.
+        std::vector<sim::Job> jobs;
+        jobs.reserve(grid.size());
+        for (const auto &request : grid)
+            jobs.push_back(sim::Job::simulate(request));
+        const auto run =
+            connect_addr.empty()
+                ? runOnWorkers(jobs, workers, cache_dir, threads)
+                : runOnServer(connect_addr, jobs);
+        if (!run)
+            return 2;
+        results.reserve(run->results.size());
+        for (const auto &result : run->results)
+            results.push_back(result.simulation);
+        simulated = run->simulationsPerformed;
     }
 
     switch (format) {
@@ -789,7 +798,7 @@ cmdSweep(Args args)
     else if (workers > 0)
         std::cerr << " across " << workers << " workers";
     std::cerr << "\n";
-    // In pooled/service mode the cache traffic happened elsewhere;
+    // In worker/service mode the cache traffic happened elsewhere;
     // the parent's view would read 0/0 regardless, so say nothing.
     if (workers == 0 && connect_addr.empty())
         reportDiskCache(session);
@@ -1437,15 +1446,6 @@ main(int argc, char **argv)
     }
 
     const std::string command = args.take();
-    if (command == "worker") {
-        // Hidden: the process-pool re-enters this binary here with a
-        // shard file written by `sweep --workers` (sim/pool.hpp).
-        return sim::poolWorkerMain(args.argv.size() > 1
-                                       ? std::vector<std::string>(
-                                             args.argv.begin() + 1,
-                                             args.argv.end())
-                                       : std::vector<std::string>{});
-    }
     if (command == "run")
         return cmdRun(std::move(args));
     if (command == "analyze")

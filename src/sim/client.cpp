@@ -12,7 +12,6 @@
 #include <cstring>
 #include <map>
 #include <thread>
-#include <unordered_map>
 
 #include "sim/job_io.hpp"
 #include "sim/serial.hpp"
@@ -264,23 +263,15 @@ SimClient::runBatch(const std::vector<Job> &jobs, std::string *error)
         return fail("corrupt results: " + wire_error);
 
     // The reply carries one record per unique canonical key; fan the
-    // results back out to this batch's job order, exactly like
-    // runBatch's dedupe does locally.
-    std::unordered_map<std::string, const JobResult *> by_key;
-    by_key.reserve(output->results.size());
-    for (const auto &[key, result] : output->results)
-        by_key.emplace(key, &result);
+    // results back out to this batch's job order.
+    auto results = resultsInJobOrder(jobs, *output, &wire_error);
+    if (!results)
+        return fail("server reply is missing a result for: " +
+                    wire_error);
     ClientRun run;
+    run.results = std::move(*results);
     run.simulationsPerformed = output->simulationsPerformed;
     run.analysesPerformed = output->analysesPerformed;
-    run.results.reserve(jobs.size());
-    for (const auto &job : jobs) {
-        const auto it = by_key.find(jobKey(job));
-        if (it == by_key.end())
-            return fail("server reply is missing a result for: " +
-                        jobKey(job));
-        run.results.push_back(*it->second);
-    }
     return run;
 }
 

@@ -67,7 +67,7 @@ formatAnaRecord(const std::string &key, const AnalyticalResult &r)
 
 /**
  * RAII exclusive flock over the backing file, creating it as needed.
- * Concurrent writer processes (pool workers sharing one cache dir)
+ * Concurrent writer processes (workers sharing one cache dir)
  * serialize on this lock, so records are appended whole -- the
  * explicit spelling of the "concurrent first-insert-wins appends are
  * safe" guarantee.

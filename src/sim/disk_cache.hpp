@@ -20,7 +20,7 @@
  * identical to freshly computed ones.
  *
  * Appends take an exclusive flock() on the backing file, so any
- * number of concurrent writer processes (pool workers sharing one
+ * number of concurrent writer processes (workers sharing one
  * --cache-dir) interleave whole records, never torn ones; combined
  * with first-insert-wins load semantics, concurrent writers are safe
  * by construction.  The append-only file can be bounded with prune():
@@ -88,8 +88,8 @@ struct DiskCacheMerge
 /**
  * Thread-safe persistent map from canonical request keys to results,
  * backed by `<directory>/results.vgc`.  The file is read once on
- * construction and appended to on insert, so sessions (and pool
- * worker processes) pointed at the same directory share results.
+ * construction and appended to on insert, so sessions (and worker
+ * processes) pointed at the same directory share results.
  * First insert wins, matching ResultCache.
  */
 class DiskResultCache

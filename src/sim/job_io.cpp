@@ -1,8 +1,8 @@
 #include "sim/job_io.hpp"
 
-#include <fstream>
 #include <functional>
 #include <sstream>
+#include <unordered_map>
 
 #include "sim/serial.hpp"
 
@@ -296,28 +296,6 @@ readRecordStream(std::istream &is, const char *header,
     return true;
 }
 
-/** readRecordStream over a file, errors prefixed with the path. */
-bool
-readRecordFile(const std::string &path, const char *header,
-               const std::function<bool(FieldReader &)> &on_record,
-               std::vector<u64> *footer_numbers, std::string *error)
-{
-    std::ifstream is(path);
-    if (!is) {
-        if (error)
-            *error = path + ": cannot open";
-        return false;
-    }
-    std::string reason;
-    if (!readRecordStream(is, header, on_record, footer_numbers,
-                          &reason)) {
-        if (error)
-            *error = path + ": " + reason;
-        return false;
-    }
-    return true;
-}
-
 } // namespace
 
 const char *
@@ -395,36 +373,6 @@ decodeJobBatch(const std::string &text, std::string *error)
     return jobs;
 }
 
-bool
-writeJobFile(const std::string &path, const std::vector<Job> &jobs)
-{
-    std::ofstream os(path, std::ios::trunc);
-    if (!os)
-        return false;
-    os << encodeJobBatch(jobs);
-    os.flush();
-    return static_cast<bool>(os);
-}
-
-std::optional<std::vector<Job>>
-readJobFile(const std::string &path, std::string *error)
-{
-    std::vector<Job> jobs;
-    const bool ok = readRecordFile(
-        path, jobFileHeader(),
-        [&](FieldReader &reader) {
-            Job job;
-            if (!readJob(reader, &job))
-                return false;
-            jobs.push_back(std::move(job));
-            return true;
-        },
-        nullptr, error);
-    if (!ok)
-        return std::nullopt;
-    return jobs;
-}
-
 std::string
 encodeWorkerOutput(const WorkerOutput &output)
 {
@@ -452,13 +400,11 @@ encodeWorkerOutput(const WorkerOutput &output)
     return text;
 }
 
-namespace {
-
-/** The shared record/footer half of the WorkerOutput decoders. */
-bool
-readWorkerOutputStream(std::istream &is, WorkerOutput *output,
-                       std::string *error)
+std::optional<WorkerOutput>
+decodeWorkerOutput(const std::string &text, std::string *error)
 {
+    std::istringstream is(text);
+    WorkerOutput output;
     std::vector<u64> footer;
     const bool ok = readRecordStream(
         is, resultFileHeader(),
@@ -468,7 +414,7 @@ readWorkerOutputStream(std::istream &is, WorkerOutput *output,
                 telemetry::MetricRecord metric;
                 if (!readMetricRecord(reader, &metric))
                     return false;
-                output->metrics.push_back(std::move(metric));
+                output.metrics.push_back(std::move(metric));
                 return true;
             }
             std::string key;
@@ -477,62 +423,43 @@ readWorkerOutputStream(std::istream &is, WorkerOutput *output,
             JobResult result;
             if (!readJobResult(reader, &result) || !reader.done())
                 return false;
-            output->results.emplace_back(key, std::move(result));
+            output.results.emplace_back(key, std::move(result));
             return true;
         },
         &footer, error);
     if (!ok)
-        return false;
+        return std::nullopt;
     if (footer.size() != 3) {
         if (error)
             *error = "corrupt footer";
-        return false;
-    }
-    output->simulationsPerformed = footer[1];
-    output->analysesPerformed = footer[2];
-    return true;
-}
-
-} // namespace
-
-std::optional<WorkerOutput>
-decodeWorkerOutput(const std::string &text, std::string *error)
-{
-    std::istringstream is(text);
-    WorkerOutput output;
-    if (!readWorkerOutputStream(is, &output, error))
         return std::nullopt;
+    }
+    output.simulationsPerformed = footer[1];
+    output.analysesPerformed = footer[2];
     return output;
 }
 
-bool
-writeResultFile(const std::string &path, const WorkerOutput &output)
+std::optional<std::vector<JobResult>>
+resultsInJobOrder(const std::vector<Job> &jobs,
+                  const WorkerOutput &output, std::string *missing_key)
 {
-    std::ofstream os(path, std::ios::trunc);
-    if (!os)
-        return false;
-    os << encodeWorkerOutput(output);
-    os.flush();
-    return static_cast<bool>(os);
-}
-
-std::optional<WorkerOutput>
-readResultFile(const std::string &path, std::string *error)
-{
-    std::ifstream is(path);
-    if (!is) {
-        if (error)
-            *error = path + ": cannot open";
-        return std::nullopt;
+    std::unordered_map<std::string, const JobResult *> by_key;
+    by_key.reserve(output.results.size());
+    for (const auto &[key, result] : output.results)
+        by_key.emplace(key, &result);
+    std::vector<JobResult> results;
+    results.reserve(jobs.size());
+    for (const auto &job : jobs) {
+        std::string key = jobKey(job);
+        const auto it = by_key.find(key);
+        if (it == by_key.end()) {
+            if (missing_key)
+                *missing_key = std::move(key);
+            return std::nullopt;
+        }
+        results.push_back(*it->second);
     }
-    WorkerOutput output;
-    std::string reason;
-    if (!readWorkerOutputStream(is, &output, &reason)) {
-        if (error)
-            *error = path + ": " + reason;
-        return std::nullopt;
-    }
-    return output;
+    return results;
 }
 
 } // namespace vegeta::sim

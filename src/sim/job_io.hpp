@@ -1,19 +1,19 @@
 /**
  * @file
- * Versioned job/result files: how the process pool ships work.
+ * Versioned job/result payloads: the bytes the wire ships between
+ * clients, the server and its workers (sim/wire, sim/workers).
  *
- * The pool parent writes each worker's shard as a job file (every
- * `Job` field serialized, so the worker reconstructs exactly the work
- * the parent described -- same canonical field spellings as jobKey),
- * and each worker writes its results back as a result file keyed by
- * canonical job key, with doubles round-tripped through raw bit
- * patterns so a merged pooled batch is bit-for-bit identical to a
+ * A job batch serializes every `Job` field, so the receiver
+ * reconstructs exactly the work the sender described (same canonical
+ * field spellings as jobKey), and a worker's output comes back keyed
+ * by canonical job key, with doubles round-tripped through raw bit
+ * patterns so a merged batch is bit-for-bit identical to a
  * single-process one.
  *
  * Both formats are corruption-checked end to end: a version header, a
  * per-record checksum, and a checksummed `end` footer carrying the
- * record count.  A truncated or tampered file parses to a clean error
- * (the pool fails that worker), never to missing or wrong results.
+ * record count.  A truncated or tampered payload decodes to a clean
+ * error, never to missing or wrong results.
  */
 
 #ifndef VEGETA_SIM_JOB_IO_HPP
@@ -28,10 +28,10 @@
 
 namespace vegeta::sim {
 
-/** Version header of a pool job (shard) file. */
+/** Version header of an encoded job batch. */
 const char *jobFileHeader();
 
-/** Version header of a pool result file. */
+/** Version header of an encoded worker output. */
 const char *resultFileHeader();
 
 /** One job as a checksummed record line (kind-tagged). */
@@ -42,9 +42,8 @@ std::optional<Job> parseJob(const std::string &line);
 
 /**
  * A job batch as one self-delimiting text block: the job-file header,
- * one record per job, and the checksummed end-count footer.  This is
- * both the byte content of a pool shard file and the payload of a
- * wire `batch` frame -- the two transports ship identical bytes.
+ * one record per job, and the checksummed end-count footer -- the
+ * payload of a wire `batch` frame.
  */
 std::string encodeJobBatch(const std::vector<Job> &jobs);
 
@@ -56,22 +55,10 @@ std::string encodeJobBatch(const std::vector<Job> &jobs);
 std::optional<std::vector<Job>>
 decodeJobBatch(const std::string &text, std::string *error);
 
-/** Write a shard of jobs; false when the file cannot be written. */
-bool writeJobFile(const std::string &path,
-                  const std::vector<Job> &jobs);
-
-/**
- * Read a shard back.  Any defect -- missing file, wrong header,
- * corrupt or truncated record, bad footer count -- yields nullopt
- * with a one-line reason in @p error.
- */
-std::optional<std::vector<Job>>
-readJobFile(const std::string &path, std::string *error);
-
-/** What one pool worker hands back to the parent. */
+/** What one worker (or the server) hands back for a batch. */
 struct WorkerOutput
 {
-    /** Canonical job key -> result, in shard order. */
+    /** Canonical job key -> result pairs. */
     std::vector<std::pair<std::string, JobResult>> results;
 
     /** Core-model simulations the worker actually performed. */
@@ -82,19 +69,18 @@ struct WorkerOutput
 
     /**
      * The worker's cumulative telemetry snapshot at encode time
-     * (v2 `metric` records).  The pool parent absorbs these into its
-     * own registry for merged post-run reports; the service replaces
-     * its per-worker copy on every results frame.  Always empty in a
-     * `VEGETA_NO_TELEMETRY` build -- the records stay decodable, so
-     * the two builds read each other's files.
+     * (v2 `metric` records).  A WorkerSet keeps the latest copy per
+     * worker, for live stats and for `sweep --workers --metrics-out`.
+     * Always empty in a `VEGETA_NO_TELEMETRY` build -- the records
+     * stay decodable, so the two builds read each other's payloads.
      */
     std::vector<telemetry::MetricRecord> metrics;
 };
 
 /**
  * A worker's output as one self-delimiting text block (result-file
- * header, key+result records, counter footer) -- the byte content of
- * a pool result file and the payload of a wire `results` frame.
+ * header, key+result records, counter footer) -- the payload of a
+ * wire `results` frame.
  */
 std::string encodeWorkerOutput(const WorkerOutput &output);
 
@@ -102,13 +88,15 @@ std::string encodeWorkerOutput(const WorkerOutput &output);
 std::optional<WorkerOutput>
 decodeWorkerOutput(const std::string &text, std::string *error);
 
-/** Write a worker's results; false when the file cannot be written. */
-bool writeResultFile(const std::string &path,
-                     const WorkerOutput &output);
-
-/** Read a result file back (same error contract as readJobFile). */
-std::optional<WorkerOutput>
-readResultFile(const std::string &path, std::string *error);
+/**
+ * Fan a keyed output back out to @p jobs' order: `results[i]`
+ * answers `jobs[i]`, duplicates included, exactly like runBatch.
+ * Nullopt with the first missing key in @p missing_key when the
+ * output lacks one.
+ */
+std::optional<std::vector<JobResult>>
+resultsInJobOrder(const std::vector<Job> &jobs,
+                  const WorkerOutput &output, std::string *missing_key);
 
 } // namespace vegeta::sim
 

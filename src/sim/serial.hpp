@@ -2,8 +2,8 @@
  * @file
  * Shared record-serialization helpers for the persistent formats.
  *
- * The persistent result cache (sim/disk_cache) and the pool shard
- * files (sim/job_io) speak the same dialect: tab-separated records,
+ * The persistent result cache (sim/disk_cache) and the wire payloads
+ * (sim/job_io) speak the same dialect: tab-separated records,
  * one per line, strings percent-escaped so a field can never contain
  * a tab or newline, doubles round-tripped through their raw bit
  * pattern (persisted values stay bit-for-bit identical to computed

@@ -6,7 +6,6 @@
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -21,25 +20,17 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/job_io.hpp"
 #include "sim/session.hpp"
 #include "sim/telemetry.hpp"
 #include "sim/wire.hpp"
+#include "sim/workers.hpp"
 
 namespace vegeta::sim {
 
 namespace {
-
-/** A pre-forked persistent worker and its feeding pipes. */
-struct ServiceWorker
-{
-    pid_t pid = -1;
-    int inFd = -1;  ///< parent writes batches here
-    int outFd = -1; ///< parent reads results here
-};
 
 /** One queued batch plus when it entered the queue. */
 struct PendingBatch
@@ -104,15 +95,14 @@ snapshotCounter(const std::vector<telemetry::MetricRecord> &records,
     return 0;
 }
 
-/** A snapshot counter summed over per-worker metric snapshots. */
+/** A snapshot counter summed over the workers' latest snapshots. */
 u64
-sumWorkerCounter(
-    const std::vector<std::vector<telemetry::MetricRecord>> &workers,
-    const char *name)
+sumWorkerCounter(const std::vector<WorkerStatus> &workers,
+                 const char *name)
 {
     u64 total = 0;
-    for (const auto &records : workers)
-        total += snapshotCounter(records, name);
+    for (const auto &worker : workers)
+        total += snapshotCounter(worker.metrics, name);
     return total;
 }
 
@@ -135,8 +125,7 @@ struct SimServer::Impl
     bool ownsSocketFile = false;
     int wakePipe[2] = {-1, -1}; ///< unblocks the accept poll on stop
 
-    std::vector<ServiceWorker> workers;
-    u32 workerThreads = 0;
+    WorkerSet workers; ///< not started in in-process mode
 
     std::thread acceptThread;
     std::thread dispatchThread;
@@ -159,10 +148,6 @@ struct SimServer::Impl
     u64 waitNext = 0;
     /** Trailing (completionNs, jobs) pairs for the recent rate. */
     std::deque<std::pair<u64, u64>> recentBatches;
-    /** Latest cumulative metric snapshot per service worker. */
-    std::vector<std::vector<telemetry::MetricRecord>> workerMetrics;
-    /** Unique jobs each service worker has answered. */
-    std::vector<u64> workerJobs;
 
     bool start(std::string *error);
     void stop();
@@ -174,16 +159,11 @@ struct SimServer::Impl
     void readerLoop(std::shared_ptr<ClientConn> conn);
     void dispatchLoop();
 
-    bool forkWorkers(std::string *error);
     bool bindSocket(std::string *error);
 
-    struct ExecOutcome
-    {
-        bool ok = false;
-        std::string error;
-        WorkerOutput output;
-    };
-    ExecOutcome executeBatch(const std::vector<Job> &jobs);
+    /** One record per unique job key (nullopt + reason on failure). */
+    std::optional<WorkerOutput>
+    executeBatch(const std::vector<Job> &jobs, std::string *error);
 
     void sendError(ClientConn &conn, const std::string &message);
 };
@@ -259,7 +239,9 @@ SimServer::Impl::start(std::string *error)
 
     // Fork the persistent workers FIRST: this process has no threads
     // yet, so the children are plain single-threaded copies.
-    if (!forkWorkers(error))
+    if (options.serviceWorkers > 0 &&
+        !workers.start(options.serviceWorkers, options.cacheDir,
+                       options.threads, error))
         return false;
 
     if (!bindSocket(error)) {
@@ -287,68 +269,11 @@ SimServer::Impl::start(std::string *error)
     }
 
     startNs = telemetry::nowNs();
-    workerMetrics.assign(workers.size(), {});
-    workerJobs.assign(workers.size(), 0);
 
     started = true;
     stopping = false;
     acceptThread = std::thread([this]() { acceptLoop(); });
     dispatchThread = std::thread([this]() { dispatchLoop(); });
-    return true;
-}
-
-bool
-SimServer::Impl::forkWorkers(std::string *error)
-{
-    for (u32 w = 0; w < options.serviceWorkers; ++w) {
-        int to_child[2], to_parent[2];
-        if (::pipe(to_child) != 0)
-            goto pipe_error;
-        if (::pipe(to_parent) != 0) {
-            ::close(to_child[0]);
-            ::close(to_child[1]);
-            goto pipe_error;
-        }
-        {
-            const pid_t pid = ::fork();
-            if (pid < 0) {
-                ::close(to_child[0]);
-                ::close(to_child[1]);
-                ::close(to_parent[0]);
-                ::close(to_parent[1]);
-                if (error)
-                    *error = "cannot fork service worker";
-                return false;
-            }
-            if (pid == 0) {
-                // Child: keep only this worker's two pipe ends.
-                ::close(to_child[1]);
-                ::close(to_parent[0]);
-                for (const auto &other : workers) {
-                    ::close(other.inFd);
-                    ::close(other.outFd);
-                }
-                u32 threads = options.threads;
-                if (threads == 0) {
-                    const unsigned hw =
-                        std::thread::hardware_concurrency();
-                    threads = std::max(
-                        1u, static_cast<u32>(hw) /
-                                options.serviceWorkers);
-                }
-                ::_exit(serviceWorkerLoop(to_child[0], to_parent[1],
-                                          options.cacheDir, threads));
-            }
-            ::close(to_child[0]);
-            ::close(to_parent[1]);
-            workers.push_back({pid, to_child[1], to_parent[0]});
-        }
-        continue;
-    pipe_error:
-        if (error)
-            *error = "cannot create service worker pipes";
-        return false;
-    }
     return true;
 }
 
@@ -477,20 +402,7 @@ SimServer::Impl::stop()
         closeFd(conn->fd);
     }
 
-    // EOF on the feed pipe is a worker's shutdown signal; reap every
-    // child so no zombie or orphan outlives the server.
-    for (auto &worker : workers) {
-        closeFd(worker.inFd);
-        closeFd(worker.outFd);
-    }
-    for (auto &worker : workers) {
-        if (worker.pid > 0) {
-            int status = 0;
-            ::waitpid(worker.pid, &status, 0);
-            worker.pid = -1;
-        }
-    }
-    workers.clear();
+    workers.stop();
     closeFd(wakePipe[0]);
     closeFd(wakePipe[1]);
     {
@@ -726,11 +638,12 @@ SimServer::Impl::dispatchLoop()
                                 ? dispatch_start - enqueued_ns
                                 : 0;
         telemetry::recordNs(wait_timer, wait_ns);
-        ExecOutcome outcome;
+        std::string error;
+        std::optional<WorkerOutput> output;
         {
             telemetry::Span dispatch_span("service.dispatch",
                                           jobs.size());
-            outcome = executeBatch(jobs);
+            output = executeBatch(jobs, &error);
         }
         const u64 dispatch_ns =
             telemetry::nowNs() - dispatch_start;
@@ -738,10 +651,12 @@ SimServer::Impl::dispatchLoop()
         {
             std::lock_guard<std::mutex> lock(mutex);
             ++statsData.batches;
-            statsData.simulationsPerformed +=
-                outcome.output.simulationsPerformed;
-            statsData.analysesPerformed +=
-                outcome.output.analysesPerformed;
+            if (output) {
+                statsData.simulationsPerformed +=
+                    output->simulationsPerformed;
+                statsData.analysesPerformed +=
+                    output->analysesPerformed;
+            }
             pushRing(waitRing, waitNext, wait_ns);
             pushRing(dispatchRing, dispatchNext, dispatch_ns);
             const u64 now = telemetry::nowNs();
@@ -751,134 +666,43 @@ SimServer::Impl::dispatchLoop()
                        10'000'000'000ull)
                 recentBatches.pop_front();
         }
-        std::string error;
+        std::string ignored;
         std::lock_guard<std::mutex> lock(conn->writeMutex);
-        if (outcome.ok)
+        if (output)
             wire::writeFrame(conn->fd, wire::FrameType::Results,
-                             encodeWorkerOutput(outcome.output),
-                             &error);
+                             encodeWorkerOutput(*output), &ignored);
         else
-            wire::writeFrame(conn->fd, wire::FrameType::Error,
-                             outcome.error, &error);
+            wire::writeFrame(conn->fd, wire::FrameType::Error, error,
+                             &ignored);
         // A failed write means the client vanished; its reader will
         // notice the close and the connection gets reaped above.
     }
 }
 
-SimServer::Impl::ExecOutcome
-SimServer::Impl::executeBatch(const std::vector<Job> &jobs)
+std::optional<WorkerOutput>
+SimServer::Impl::executeBatch(const std::vector<Job> &jobs,
+                              std::string *error)
 {
-    ExecOutcome outcome;
+    if (options.serviceWorkers > 0)
+        return workers.run(jobs, error);
 
-    // Dedupe by canonical key exactly like runBatch/ProcessPool: the
-    // response carries one record per unique key (sorted, so worker
-    // sharding is a pure function of the batch) and the client fans
-    // results back out to its own job order.
+    // In-process: the reply carries one record per unique canonical
+    // key, in key order, exactly as the workers answer it; the
+    // client fans results back out to its own job order.
     std::map<std::string, std::size_t> unique;
     for (std::size_t i = 0; i < jobs.size(); ++i)
         unique.emplace(jobKey(jobs[i]), i);
-
-    if (workers.empty()) {
-        const u64 sims0 = session.simulationsPerformed();
-        const u64 anas0 = session.analysesPerformed();
-        const auto results =
-            session.runBatch(jobs, options.threads);
-        outcome.output.simulationsPerformed =
-            session.simulationsPerformed() - sims0;
-        outcome.output.analysesPerformed =
-            session.analysesPerformed() - anas0;
-        outcome.output.results.reserve(unique.size());
-        for (const auto &[key, index] : unique)
-            outcome.output.results.emplace_back(key, results[index]);
-        outcome.ok = true;
-        return outcome;
-    }
-
-    // Persistent-worker mode: deal the sorted unique keys
-    // round-robin over the pre-forked workers and feed each its
-    // slice as ONE wire frame down its pipe -- no files, no forks.
-    const u32 used = std::min<u32>(
-        static_cast<u32>(workers.size()),
-        static_cast<u32>(std::max<std::size_t>(1, unique.size())));
-    std::vector<std::vector<Job>> slices(used);
-    std::vector<std::vector<std::string>> slice_keys(used);
-    {
-        u32 next = 0;
-        for (const auto &[key, index] : unique) {
-            slices[next].push_back(jobs[index]);
-            slice_keys[next].push_back(key);
-            next = (next + 1) % used;
-        }
-    }
-    std::string error;
-    for (u32 w = 0; w < used; ++w) {
-        if (!wire::writeFrame(workers[w].inFd,
-                              wire::FrameType::Batch,
-                              encodeJobBatch(slices[w]), &error)) {
-            outcome.error =
-                "service worker " + std::to_string(w) +
-                " unreachable: " + error;
-            return outcome;
-        }
-    }
-    std::unordered_map<std::string, JobResult> by_key;
-    by_key.reserve(unique.size());
-    for (u32 w = 0; w < used; ++w) {
-        wire::Frame frame;
-        if (!wire::readFrame(workers[w].outFd, &frame, -1, &error)) {
-            outcome.error = "service worker " + std::to_string(w) +
-                            " died: " + error;
-            return outcome;
-        }
-        if (frame.type == wire::FrameType::Error) {
-            outcome.error = "service worker " + std::to_string(w) +
-                            ": " + frame.payload;
-            return outcome;
-        }
-        if (frame.type != wire::FrameType::Results) {
-            outcome.error = "service worker " + std::to_string(w) +
-                            ": unexpected frame";
-            return outcome;
-        }
-        auto output = decodeWorkerOutput(frame.payload, &error);
-        if (!output) {
-            outcome.error = "service worker " + std::to_string(w) +
-                            ": " + error;
-            return outcome;
-        }
-        {
-            // The worker ships its whole-process cumulative snapshot
-            // on every results frame: REPLACE the latest copy (an
-            // absorb per frame would double count).
-            std::lock_guard<std::mutex> lock(mutex);
-            if (w < workerMetrics.size()) {
-                workerMetrics[w] = std::move(output->metrics);
-                workerJobs[w] += output->results.size();
-            }
-        }
-        outcome.output.simulationsPerformed +=
-            output->simulationsPerformed;
-        outcome.output.analysesPerformed +=
-            output->analysesPerformed;
-        for (auto &[key, result] : output->results)
-            by_key.emplace(key, std::move(result));
-        for (const auto &key : slice_keys[w]) {
-            if (!by_key.count(key)) {
-                outcome.error = "service worker " +
-                                std::to_string(w) +
-                                ": missing result";
-                return outcome;
-            }
-        }
-    }
-    outcome.output.results.reserve(unique.size());
-    for (const auto &[key, index] : unique) {
-        (void)index;
-        outcome.output.results.emplace_back(
-            key, std::move(by_key.find(key)->second));
-    }
-    outcome.ok = true;
-    return outcome;
+    const u64 sims0 = session.simulationsPerformed();
+    const u64 anas0 = session.analysesPerformed();
+    const auto results = session.runBatch(jobs, options.threads);
+    WorkerOutput output;
+    output.simulationsPerformed =
+        session.simulationsPerformed() - sims0;
+    output.analysesPerformed = session.analysesPerformed() - anas0;
+    output.results.reserve(unique.size());
+    for (const auto &[key, index] : unique)
+        output.results.emplace_back(key, results[index]);
+    return output;
 }
 
 std::string
@@ -888,6 +712,7 @@ SimServer::Impl::statsJson()
     // session does the work; worker mode sums the latest per-worker
     // snapshots instead).
     const telemetry::MetricsSnapshot local = telemetry::snapshot();
+    const std::vector<WorkerStatus> worker_status = workers.status();
 
     std::ostringstream os;
     os.setf(std::ios::fixed);
@@ -898,18 +723,17 @@ SimServer::Impl::statsJson()
         double(now > startNs ? now - startNs : 0) / 1e9;
 
     u64 cache_hits = 0, cache_misses = 0;
-    if (workerMetrics.empty()) {
+    if (worker_status.empty()) {
         cache_hits = local.counter("session.cache.hit.memory") +
                      local.counter("session.cache.hit.disk");
         cache_misses = local.counter("session.cache.miss");
     } else {
         cache_hits =
-            sumWorkerCounter(workerMetrics,
+            sumWorkerCounter(worker_status,
                              "session.cache.hit.memory") +
-            sumWorkerCounter(workerMetrics,
-                             "session.cache.hit.disk");
+            sumWorkerCounter(worker_status, "session.cache.hit.disk");
         cache_misses =
-            sumWorkerCounter(workerMetrics, "session.cache.miss");
+            sumWorkerCounter(worker_status, "session.cache.miss");
     }
     const u64 cache_total = cache_hits + cache_misses;
 
@@ -954,18 +778,20 @@ SimServer::Impl::statsJson()
        << (cache_total > 0 ? double(cache_hits) / double(cache_total)
                            : 0.0)
        << "},\n";
-    os << "  \"workers\": {\"count\": " << workerMetrics.size()
+    os << "  \"workers\": {\"count\": " << worker_status.size()
        << ", \"per_worker\": [";
-    for (std::size_t w = 0; w < workerMetrics.size(); ++w) {
+    for (std::size_t w = 0; w < worker_status.size(); ++w) {
+        const WorkerStatus &worker = worker_status[w];
         const u64 w_hits =
-            snapshotCounter(workerMetrics[w],
+            snapshotCounter(worker.metrics,
                             "session.cache.hit.memory") +
-            snapshotCounter(workerMetrics[w],
-                            "session.cache.hit.disk");
-        const u64 w_misses = snapshotCounter(workerMetrics[w],
-                                             "session.cache.miss");
+            snapshotCounter(worker.metrics, "session.cache.hit.disk");
+        const u64 w_misses =
+            snapshotCounter(worker.metrics, "session.cache.miss");
         const u64 w_total = w_hits + w_misses;
-        os << (w ? ", " : "") << "{\"jobs\": " << workerJobs[w]
+        os << (w ? ", " : "") << "{\"pid\": " << worker.pid
+           << ", \"alive\": " << (worker.alive ? "true" : "false")
+           << ", \"jobs\": " << worker.jobs
            << ", \"cache_hits\": " << w_hits
            << ", \"cache_misses\": " << w_misses
            << ", \"cache_hit_rate\": "
@@ -975,85 +801,6 @@ SimServer::Impl::statsJson()
     os << "]}\n";
     os << "}\n";
     return os.str();
-}
-
-// --- the persistent worker -------------------------------------------
-
-int
-serviceWorkerLoop(int in_fd, int out_fd, const std::string &cache_dir,
-                  u32 threads)
-{
-    Session session;
-    session.enableCache();
-    if (!cache_dir.empty()) {
-        const auto disk = session.attachDiskCache(cache_dir);
-        if (!disk->ok()) {
-            std::cerr << "service worker: cannot open cache dir: "
-                      << cache_dir << "\n";
-            return 4;
-        }
-    }
-
-    for (;;) {
-        wire::Frame frame;
-        std::string error;
-        bool clean_eof = false;
-        if (!wire::readFrame(in_fd, &frame, -1, &error,
-                             &clean_eof)) {
-            if (clean_eof)
-                return 0; // parent closed the feed: clean shutdown
-            std::cerr << "service worker: " << error << "\n";
-            return 3;
-        }
-        if (frame.type == wire::FrameType::Bye)
-            return 0;
-        if (frame.type != wire::FrameType::Batch) {
-            std::cerr << "service worker: unexpected frame\n";
-            return 3;
-        }
-        auto jobs = decodeJobBatch(frame.payload, &error);
-        bool bad_job = false;
-        if (jobs) {
-            for (const auto &job : *jobs) {
-                if (const auto reason = session.jobError(job)) {
-                    error = "bad job: " + *reason;
-                    bad_job = true;
-                    break;
-                }
-            }
-        }
-        if (!jobs || bad_job) {
-            // One frame in, one frame out: the pipe stays aligned
-            // even for a rejected batch.
-            if (!wire::writeFrame(out_fd, wire::FrameType::Error,
-                                  error, &error))
-                return 3;
-            continue;
-        }
-
-        const u64 sims0 = session.simulationsPerformed();
-        const u64 anas0 = session.analysesPerformed();
-        const auto results = session.runBatch(*jobs, threads);
-
-        WorkerOutput output;
-        output.results.reserve(results.size());
-        for (std::size_t i = 0; i < results.size(); ++i)
-            output.results.emplace_back(jobKey((*jobs)[i]),
-                                        results[i]);
-        output.simulationsPerformed =
-            session.simulationsPerformed() - sims0;
-        output.analysesPerformed =
-            session.analysesPerformed() - anas0;
-        // Cumulative whole-process snapshot on EVERY frame: the
-        // server keeps only the latest copy per worker, so this is
-        // idempotent, never double counted.
-        output.metrics = telemetry::snapshot().metrics;
-        if (!wire::writeFrame(out_fd, wire::FrameType::Results,
-                              encodeWorkerOutput(output), &error)) {
-            std::cerr << "service worker: " << error << "\n";
-            return 3;
-        }
-    }
 }
 
 // --- CLI entry --------------------------------------------------------

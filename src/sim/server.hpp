@@ -3,18 +3,15 @@
  * The long-lived simulation service: a SimServer daemon that keeps
  * one Session warm across requests from many concurrent clients.
  *
- * Every CLI invocation used to pay full process startup -- registry
- * construction, reloading the persistent DiskResultCache -- and the
- * process pool paid it per SWEEP: fork/exec of every worker plus a
- * shard-file round trip for every batch (the committed trajectory
- * shows that overhead model losing: pool_sweep slows DOWN as workers
- * grow on small batches).  The server inverts both costs:
+ * Every CLI invocation pays full process startup -- registry
+ * construction, reloading the persistent DiskResultCache.  The server
+ * pays it once:
  *
  *  - registries and both caches are built once and stay warm; a
  *    repeated sweep from any client performs zero simulations;
- *  - worker processes are pre-forked ONCE at startup and fed job
- *    batches incrementally over pipes speaking the same wire frames
- *    as the socket (sim/wire), replacing one-shot shard files;
+ *  - with --service-workers, a WorkerSet (sim/workers) pre-forks the
+ *    worker processes ONCE at startup and feeds them job batches
+ *    over pipes speaking the same wire frames as the socket;
  *  - each client connection gets a bounded request queue, and a
  *    single dispatcher drains the queues round-robin, so one greedy
  *    client cannot starve the rest.
@@ -48,8 +45,8 @@ struct ServerOptions
 
     /**
      * Persistent worker processes, pre-forked at start() and fed
-     * over pipes.  0 executes batches in-process on the server's own
-     * warm Session.
+     * over pipes (sim/workers).  0 executes batches in-process on the
+     * server's own warm Session.
      */
     u32 serviceWorkers = 0;
 
@@ -125,16 +122,6 @@ class SimServer
     struct Impl;
     std::unique_ptr<Impl> impl_;
 };
-
-/**
- * The persistent-worker half: a fresh builtin Session with the
- * in-memory cache (and @p cache_dir when non-empty), looping on
- * `batch` frames from @p in_fd and answering `results` frames on
- * @p out_fd until EOF or a `bye` frame.  Returns a process exit
- * code; the server's pre-forked children run exactly this.
- */
-int serviceWorkerLoop(int in_fd, int out_fd,
-                      const std::string &cache_dir, u32 threads);
 
 } // namespace vegeta::sim
 

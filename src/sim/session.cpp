@@ -408,13 +408,6 @@ Session::runBatch(const std::vector<Job> &jobs, u32 threads) const
     return results;
 }
 
-PoolRun
-Session::runBatchPooled(const std::vector<Job> &jobs,
-                        const PoolOptions &options) const
-{
-    return ProcessPool(options).run(*this, jobs);
-}
-
 std::vector<SimulationResult>
 Session::runBatch(const std::vector<SimulationRequest> &requests,
                   u32 threads) const

@@ -12,9 +12,13 @@
  *    AnalyticalRequest -> AnalyticalResult) kept from the original
  *    Simulator facade, and
  *  - the polymorphic Job level: a Job is a tagged variant of the two,
- *    runBatch() executes mixed job vectors on a worker pool with
+ *    runBatch() executes mixed job vectors on a thread pool with
  *    canonical-key dedupe, and the output is bit-for-bit identical
  *    for any thread count, with or without either cache attached.
+ *
+ * Work that leaves the process (`serve --service-workers`, `sweep
+ * --workers`) goes to sim/workers' WorkerSet, whose pre-forked
+ * workers each run their own Session.
  *
  * Everything above this layer (CLI, benches, sweeps) speaks only jobs
  * or request/result pairs; nothing above it wires engines, workloads,
@@ -34,7 +38,6 @@
 #include "sim/cache.hpp"
 #include "sim/disk_cache.hpp"
 #include "sim/job.hpp"
-#include "sim/pool.hpp"
 #include "sim/request.hpp"
 #include "sim/result.hpp"
 
@@ -183,20 +186,6 @@ class Session
     std::vector<SimulationResult>
     runBatch(const std::vector<SimulationRequest> &requests,
              u32 threads = 0) const;
-
-    /**
-     * Run a batch sharded over worker PROCESSES (see sim/pool.hpp):
-     * jobs are deduped by canonical key, dealt round-robin over the
-     * sorted key set to options.workers forked workers, and merged
-     * back in original batch order -- bit-for-bit identical to
-     * runBatch for any worker count.  Workers share the persistent
-     * cache under options.cacheDir, so a warm pooled sweep performs
-     * zero replays across all workers.  This session is used only to
-     * validate the batch; workers run fresh builtin-registry
-     * sessions.
-     */
-    PoolRun runBatchPooled(const std::vector<Job> &jobs,
-                           const PoolOptions &options) const;
 
     /**
      * Core-model simulations this session actually performed (cache

@@ -94,9 +94,10 @@ void recordNs(MetricId id, u64 ns);
 MetricsSnapshot snapshot();
 
 /**
- * Fold an external snapshot (a pool worker's result file, a remote
- * peer) into this process's totals: counters and timer counts/sums
- * add, timer min/max widen.  Unknown names are registered.
+ * Fold an external snapshot (a worker's latest `results` frame, a
+ * remote peer) into this process's totals: counters and timer
+ * counts/sums add, timer min/max widen.  Unknown names are
+ * registered.
  */
 void absorb(const std::vector<MetricRecord> &records);
 

@@ -15,8 +15,7 @@
  * formats verbatim: a `batch` frame carries encodeJobBatch() bytes
  * and a `results` frame carries encodeWorkerOutput() bytes
  * (sim/job_io), which in turn ride on the checksummed sim/serial
- * records -- the socket speaks exactly the dialect the shard files
- * already spoke.
+ * records the persistent cache speaks too.
  *
  * Sessions open with a hello handshake: the client sends `hello`
  * whose payload names the wire version AND the job/result record
@@ -25,8 +24,8 @@
  * fails the connection cleanly before any work is exchanged, so
  * mismatched builds can never exchange silently-misread records.
  *
- * The same framing runs over the server's worker pipes: frames are
- * transport-agnostic byte streams, readable from any fd.
+ * The same framing runs over the worker pipes (sim/workers): frames
+ * are transport-agnostic byte streams, readable from any fd.
  */
 
 #ifndef VEGETA_SIM_WIRE_HPP

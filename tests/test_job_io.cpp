@@ -1,37 +1,24 @@
 /**
  * @file
- * Pool shard-file tests: every Job variant field round-trips through
- * the versioned job-file format bit-for-bit (same canonical key on
- * both sides), result files round-trip both result kinds exactly,
- * and corrupt or truncated files degrade to a clean error -- the
- * contract that a damaged shard can fail a worker but never produce
- * wrong or silently missing results.
+ * Wire-payload tests: every Job variant field round-trips through
+ * the versioned job-batch encoding bit-for-bit (same canonical key on
+ * both sides), worker outputs round-trip both result kinds exactly,
+ * and corrupt or truncated payloads -- untrusted bytes off a pipe or
+ * socket -- decode to a clean error, never to wrong or silently
+ * missing results.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
+#include "expect_identical.hpp"
 #include "sim/job_io.hpp"
 #include "sim/session.hpp"
 
 namespace vegeta::sim {
 namespace {
-
-namespace fs = std::filesystem;
-
-std::string
-freshDir(const std::string &name)
-{
-    const fs::path dir =
-        fs::path(::testing::TempDir()) / "vegeta_job_io" / name;
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir.string();
-}
 
 /** A simulation job with every field away from its default. */
 Job
@@ -151,79 +138,44 @@ TEST(JobIo, TamperedJobRecordIsRejected)
     EXPECT_FALSE(parseJob("garbage").has_value());
 }
 
-TEST(JobIo, JobFileRoundTripsAMixedShard)
+TEST(JobIo, JobBatchRoundTripsMixedJobs)
 {
-    const std::string dir = freshDir("shard");
-    const std::string path = dir + "/shard.jobs";
     const std::vector<Job> jobs = {fancySimulationJob(),
                                    fancyAnalysisJob(),
                                    fancySimulationJob()};
-    ASSERT_TRUE(writeJobFile(path, jobs));
-
     std::string error;
-    const auto read = readJobFile(path, &error);
-    ASSERT_TRUE(read.has_value()) << error;
-    ASSERT_EQ(read->size(), jobs.size());
+    const auto decoded = decodeJobBatch(encodeJobBatch(jobs), &error);
+    ASSERT_TRUE(decoded.has_value()) << error;
+    ASSERT_EQ(decoded->size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i)
-        expectSameJob(jobs[i], (*read)[i]);
+        expectSameJob(jobs[i], (*decoded)[i]);
 }
 
-TEST(JobIo, EmptyShardRoundTrips)
+TEST(JobIo, EmptyJobBatchRoundTrips)
 {
-    const std::string dir = freshDir("empty");
-    const std::string path = dir + "/empty.jobs";
-    ASSERT_TRUE(writeJobFile(path, {}));
     std::string error;
-    const auto read = readJobFile(path, &error);
-    ASSERT_TRUE(read.has_value()) << error;
-    EXPECT_TRUE(read->empty());
+    const auto decoded = decodeJobBatch(encodeJobBatch({}), &error);
+    ASSERT_TRUE(decoded.has_value()) << error;
+    EXPECT_TRUE(decoded->empty());
 }
 
-TEST(JobIo, CorruptShardFilesFailCleanly)
+TEST(JobIo, CorruptJobBatchesFailCleanly)
 {
-    const std::string dir = freshDir("corrupt");
-    const std::string path = dir + "/shard.jobs";
-    const std::vector<Job> jobs = {fancySimulationJob(),
-                                   fancyAnalysisJob()};
-    ASSERT_TRUE(writeJobFile(path, jobs));
-    std::string text;
-    {
-        std::ifstream is(path);
-        std::stringstream buffer;
-        buffer << is.rdbuf();
-        text = buffer.str();
-    }
-
-    auto write = [&](const std::string &name,
-                     const std::string &content) {
-        const std::string p = dir + "/" + name;
-        std::ofstream os(p, std::ios::trunc | std::ios::binary);
-        os << content;
-        return p;
-    };
-
+    const std::string text =
+        encodeJobBatch({fancySimulationJob(), fancyAnalysisJob()});
     std::string error;
-    // Missing file.
-    EXPECT_FALSE(readJobFile(dir + "/nope.jobs", &error).has_value());
-    EXPECT_NE(error.find("cannot open"), std::string::npos);
     // Wrong header.
     EXPECT_FALSE(
-        readJobFile(write("header.jobs", "not a job file\n" + text),
-                    &error)
-            .has_value());
+        decodeJobBatch("not a job batch\n" + text, &error).has_value());
     // Truncated: cut before the footer.
     const auto last_line = text.rfind("end\t");
     ASSERT_NE(last_line, std::string::npos);
     EXPECT_FALSE(
-        readJobFile(write("trunc.jobs", text.substr(0, last_line)),
-                    &error)
-            .has_value());
+        decodeJobBatch(text.substr(0, last_line), &error).has_value());
     EXPECT_NE(error.find("no footer"), std::string::npos);
     // Truncated mid-record (the cut record fails its checksum).
-    EXPECT_FALSE(
-        readJobFile(write("mid.jobs", text.substr(0, last_line - 10)),
-                    &error)
-            .has_value());
+    EXPECT_FALSE(decodeJobBatch(text.substr(0, last_line - 10), &error)
+                     .has_value());
     // A record deleted but the footer count kept: count mismatch.
     {
         std::istringstream is(text);
@@ -233,9 +185,7 @@ TEST(JobIo, CorruptShardFilesFailCleanly)
             if (++line_no != 2) // drop the first job record
                 kept += line + "\n";
         }
-        EXPECT_FALSE(
-            readJobFile(write("count.jobs", kept), &error)
-                .has_value());
+        EXPECT_FALSE(decodeJobBatch(kept, &error).has_value());
         EXPECT_NE(error.find("count mismatch"), std::string::npos);
     }
     // Bit rot inside a record.
@@ -244,17 +194,13 @@ TEST(JobIo, CorruptShardFilesFailCleanly)
         const auto pos = rotten.find("VEGETA-S-2-2");
         ASSERT_NE(pos, std::string::npos);
         rotten.replace(pos, 12, "VEGETA-S-4-2");
-        EXPECT_FALSE(readJobFile(write("rot.jobs", rotten), &error)
-                         .has_value());
+        EXPECT_FALSE(decodeJobBatch(rotten, &error).has_value());
         EXPECT_NE(error.find("corrupt record"), std::string::npos);
     }
 }
 
-TEST(JobIo, ResultFileRoundTripsBothKindsBitExactly)
+TEST(JobIo, WorkerOutputRoundTripsBothKindsBitExactly)
 {
-    const std::string dir = freshDir("results");
-    const std::string path = dir + "/shard.results";
-
     // Real results from real runs, so the round trip is checked
     // against genuinely produced values (incl. macUtilization bits).
     const Session session;
@@ -277,10 +223,10 @@ TEST(JobIo, ResultFileRoundTripsBothKindsBitExactly)
                                 session.run(*ana_job));
     output.simulationsPerformed = 1;
     output.analysesPerformed = 1;
-    ASSERT_TRUE(writeResultFile(path, output));
 
     std::string error;
-    const auto read = readResultFile(path, &error);
+    const auto read =
+        decodeWorkerOutput(encodeWorkerOutput(output), &error);
     ASSERT_TRUE(read.has_value()) << error;
     EXPECT_EQ(read->simulationsPerformed, 1u);
     EXPECT_EQ(read->analysesPerformed, 1u);
@@ -313,11 +259,8 @@ TEST(JobIo, ResultFileRoundTripsBothKindsBitExactly)
     EXPECT_EQ(ana_a.notes, ana_b.notes);
 }
 
-TEST(JobIo, TamperedResultFileFailsCleanly)
+TEST(JobIo, TamperedWorkerOutputFailsCleanly)
 {
-    const std::string dir = freshDir("bad_results");
-    const std::string path = dir + "/shard.results";
-
     const Session session;
     const auto job = session.job()
                          .gemm(kernels::GemmDims{32, 32, 128})
@@ -327,30 +270,48 @@ TEST(JobIo, TamperedResultFileFailsCleanly)
     WorkerOutput output;
     output.results.emplace_back(jobKey(*job), session.run(*job));
     output.simulationsPerformed = 1;
-    ASSERT_TRUE(writeResultFile(path, output));
+    const std::string text = encodeWorkerOutput(output);
 
-    std::string text;
-    {
-        std::ifstream is(path);
-        std::stringstream buffer;
-        buffer << is.rdbuf();
-        text = buffer.str();
-    }
     // Tamper one cycle-count digit: checksum rejects the record and
-    // the whole file fails (a pool worker error, not a wrong merge).
+    // the whole payload fails (a dropped worker, not a wrong merge).
     const auto &result = output.results[0].second.simulation;
     const std::string cycles = std::to_string(result.coreCycles);
     const auto pos = text.find("\t" + cycles + "\t");
     ASSERT_NE(pos, std::string::npos);
     std::string rotten = text;
     rotten[pos + 1] = rotten[pos + 1] == '9' ? '8' : '9';
-    {
-        std::ofstream os(path, std::ios::trunc);
-        os << rotten;
-    }
     std::string error;
-    EXPECT_FALSE(readResultFile(path, &error).has_value());
+    EXPECT_FALSE(decodeWorkerOutput(rotten, &error).has_value());
     EXPECT_NE(error.find("corrupt record"), std::string::npos);
+}
+
+TEST(JobIo, ResultsFanOutToJobOrder)
+{
+    const Session session;
+    auto job_for = [&](u32 pattern) {
+        const auto job = session.job()
+                             .gemm(kernels::GemmDims{32, 32, 64})
+                             .engine("VEGETA-S-2-2")
+                             .pattern(pattern)
+                             .build();
+        EXPECT_TRUE(job.has_value());
+        return *job;
+    };
+    const std::vector<Job> jobs = {job_for(2), job_for(4), job_for(2)};
+    const auto reference = session.runBatch(jobs, 1);
+
+    // Keyed in the reverse of batch order, one record per key.
+    WorkerOutput output;
+    output.results.emplace_back(jobKey(jobs[1]), reference[1]);
+    output.results.emplace_back(jobKey(jobs[0]), reference[0]);
+    std::string missing;
+    const auto results = resultsInJobOrder(jobs, output, &missing);
+    ASSERT_TRUE(results.has_value()) << missing;
+    expectIdenticalBatches(*results, reference);
+
+    output.results.pop_back();
+    EXPECT_FALSE(resultsInJobOrder(jobs, output, &missing).has_value());
+    EXPECT_EQ(missing, jobKey(jobs[0]));
 }
 
 } // namespace

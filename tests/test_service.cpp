@@ -5,8 +5,9 @@
  * matters -- remote batches are bit-for-bit identical to a local
  * Session::runBatch, a warm server answers repeats with zero
  * simulations, version mismatches and bad jobs fail cleanly without
- * killing the connection, and concurrent clients all get correct
- * results (in-process and pre-forked worker modes alike).
+ * killing the connection, concurrent clients all get correct results
+ * (in-process and pre-forked worker modes alike), and a killed worker
+ * costs the daemon nothing but that worker.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -202,7 +204,56 @@ TEST(Service, StatsFrameCountsPerWorkerJobs)
     EXPECT_NE(stats->find("\"workers\": {\"count\": 2"),
               std::string::npos)
         << *stats;
-    EXPECT_NE(stats->find("\"per_worker\""), std::string::npos);
+    EXPECT_NE(stats->find("\"per_worker\": [{\"pid\": "),
+              std::string::npos)
+        << *stats;
+    EXPECT_NE(stats->find("\"alive\": true"), std::string::npos);
+    EXPECT_EQ(stats->find("\"alive\": false"), std::string::npos);
+    fixture.server->stop();
+}
+
+TEST(Service, KilledWorkerCostsOnlyThatWorker)
+{
+    ServerFixture fixture("killed", 2);
+    auto client = fixture.client();
+    std::string error;
+    ASSERT_TRUE(client.connect(&error)) << error;
+    auto stats = client.fetchStats(&error);
+    ASSERT_TRUE(stats.has_value()) << error;
+    const auto at = stats->find("\"pid\": ");
+    ASSERT_NE(at, std::string::npos) << *stats;
+    const pid_t pid = std::stoi(stats->substr(at + 7));
+    ASSERT_EQ(::kill(pid, SIGKILL), 0);
+
+    // Every later batch on the same connection still matches local
+    // execution bit for bit: the dead worker's share is dealt again.
+    std::vector<Job> seven = {
+        Job::simulate(quickRequest(64, "VEGETA-D-1-2", 4)),
+        Job::simulate(quickRequest(64, "VEGETA-S-1-2", 2)),
+        Job::simulate(quickRequest(64, "VEGETA-S-16-2", 1)),
+        Job::simulate(quickRequest(96, "VEGETA-D-1-2", 4)),
+        Job::simulate(quickRequest(96, "VEGETA-S-2-2", 2)),
+        Job::simulate(quickRequest(128, "VEGETA-S-1-2", 2))};
+    AnalyticalRequest analysis;
+    analysis.model = "fig3-roofline";
+    seven.push_back(Job::analyze(std::move(analysis)));
+    const std::vector<Job> one = {
+        Job::simulate(quickRequest(160, "VEGETA-S-2-2", 2))};
+    Session local;
+    local.enableCache();
+    for (const auto &jobs : {seven, one}) {
+        const auto run = client.runBatch(jobs, &error);
+        ASSERT_TRUE(run.has_value()) << error;
+        expectIdenticalBatches(run->results, local.runBatch(jobs, 2));
+    }
+
+    stats = client.fetchStats(&error);
+    ASSERT_TRUE(stats.has_value()) << error;
+    const auto dead = stats->find("\"alive\": false");
+    ASSERT_NE(dead, std::string::npos) << *stats;
+    EXPECT_EQ(stats->find("\"alive\": false", dead + 1),
+              std::string::npos)
+        << *stats;
     fixture.server->stop();
 }
 
