@@ -59,20 +59,20 @@ main()
             for (const bool of : {false, true}) {
                 if (of && !sparse)
                     continue;
-                auto builder = simulator.request()
+                auto builder = simulator.job()
                                    .gemm(dims)
                                    .engine(engine)
                                    .pattern(2)
                                    .kernel(shape.variant)
                                    .cBlocking(shape.blocking)
                                    .outputForwarding(of);
-                const auto request = builder.build();
-                if (!request) {
+                const auto job = builder.build();
+                if (!job) {
                     std::cerr << "bad request: " << builder.error()
                               << "\n";
                     return 1;
                 }
-                requests.push_back(*request);
+                requests.push_back(job->simulation);
             }
         }
     }

@@ -84,12 +84,12 @@ BENCHMARK(BM_RowWiseTransform);
 sim::SimulationRequest
 microRequest(const sim::Session &simulator)
 {
-    auto request = simulator.request()
-                       .gemm(kernels::GemmDims{64, 64, 512})
-                       .engine("VEGETA-S-16-2")
-                       .pattern(2)
-                       .build();
-    return *request;
+    auto job = simulator.job()
+                   .gemm(kernels::GemmDims{64, 64, 512})
+                   .engine("VEGETA-S-16-2")
+                   .pattern(2)
+                   .build();
+    return job->simulation;
 }
 
 void

@@ -101,13 +101,13 @@ struct PointResult
 sim::SimulationRequest
 requestFor(const sim::Session &simulator, const Point &point)
 {
-    auto request = simulator.request()
-                       .gemm(point.dims)
-                       .engine(point.engine)
-                       .pattern(point.pattern)
-                       .build();
-    VEGETA_ASSERT(request.has_value(), "invalid bench request");
-    return *request;
+    auto job = simulator.job()
+                   .gemm(point.dims)
+                   .engine(point.engine)
+                   .pattern(point.pattern)
+                   .build();
+    VEGETA_ASSERT(job.has_value(), "invalid bench request");
+    return job->simulation;
 }
 
 /** Streaming: generation + replay fused, no trace in memory. */
@@ -166,14 +166,14 @@ struct TraceIoRow
 TraceIoRow
 measureTraceIo(const sim::Session &simulator, int reps)
 {
-    const auto request = simulator.request()
-                             .workload("GPT-L3")
-                             .engine("VEGETA-S-16-2")
-                             .pattern(4)
-                             .build();
-    VEGETA_ASSERT(request.has_value(), "invalid trace_io request");
+    const auto job = simulator.job()
+                         .workload("GPT-L3")
+                         .engine("VEGETA-S-16-2")
+                         .pattern(4)
+                         .build();
+    VEGETA_ASSERT(job.has_value(), "invalid trace_io request");
     cpu::TraceCollector collector;
-    simulator.run(*request, &collector);
+    simulator.run(job->simulation, &collector);
     const cpu::Trace &trace = collector.trace();
     const std::string path =
         (std::filesystem::temp_directory_path() /

@@ -42,17 +42,17 @@ main()
     const auto configs = simulator.engines().tableIIIConfigs();
     std::vector<sim::SimulationRequest> requests;
     auto build = [&](const std::string &engine, bool of) {
-        auto builder = simulator.request()
+        auto builder = simulator.job()
                            .workload(workload)
                            .engine(engine)
                            .pattern(2)
                            .outputForwarding(of);
-        const auto request = builder.build();
-        if (!request) {
+        const auto job = builder.build();
+        if (!job) {
             std::cerr << "bad request: " << builder.error() << "\n";
             std::exit(1);
         }
-        requests.push_back(*request);
+        requests.push_back(job->simulation);
     };
     build("VEGETA-D-1-2", false); // baseline first
     for (const auto &cfg : configs)

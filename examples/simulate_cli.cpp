@@ -19,8 +19,11 @@
  * `sweep --workers N` deals the grid over N pre-forked worker
  * processes (sim/workers.hpp, the same ones `serve --service-workers`
  * runs) that share the --cache-dir; the merged output is
- * byte-identical to the single-process sweep.  Every numeric flag
- * goes through the strict sim parsers (parseU32 / parseGemmSpec):
+ * byte-identical to the single-process sweep.
+ *
+ * Each subcommand parses its arguments from one FlagTable of (flag,
+ * accepted value, setter) rows.  Every numeric flag goes through the
+ * strict parsers (sim::parseU32, serial::parseU64, parseGemmSpec):
  * garbage or negative values are errors, never silently-zero atoi
  * results.
  *
@@ -28,15 +31,15 @@
  * workers) behind a unix/TCP socket; `run --connect ADDR` and `sweep
  * --connect ADDR` send the same work there instead of simulating
  * locally, with byte-identical stdout (sim/server, sim/client).
- *
- * Flag-style invocations without a subcommand (`simulate_cli
- * --workload ...`) are deprecated but still route to `run`.
  */
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -197,48 +200,145 @@ parseDouble(const std::string &text)
     return value;
 }
 
-/** Split "key=value" ("" key or missing '=' is an error). */
-std::optional<std::pair<std::string, std::string>>
-parseKeyValue(const std::string &text)
+/**
+ * One subcommand's flag table.  Each row names a flag, what its value
+ * must be (nullptr for a switch, which takes none) and the setter
+ * that stores the value or refuses it by returning false; bare
+ * arguments (no leading '-') go to `bare`, which may refuse them too.
+ * parse() walks the arguments once against the rows.
+ */
+struct FlagTable
 {
-    const auto eq = text.find('=');
-    if (eq == std::string::npos || eq == 0)
-        return std::nullopt;
-    return std::make_pair(text.substr(0, eq), text.substr(eq + 1));
-}
+    using Setter = std::function<bool(const std::string &)>;
 
-/** Simple arg cursor with fatal-on-missing value access. */
-struct Args
-{
-    std::vector<std::string> argv;
-    std::size_t next = 0;
-
-    bool done() const { return next >= argv.size(); }
-    const std::string &peek() const { return argv[next]; }
-    std::string take() { return argv[next++]; }
-
-    /** The value of a --flag VALUE pair, or exit(1). */
-    std::string value(const std::string &flag)
+    struct Row
     {
-        if (done()) {
-            std::cerr << "error: " << flag << " needs a value\n";
-            std::exit(1);
+        const char *flag;
+        const char *expects;
+        Setter set;
+    };
+
+    const char *command;
+    std::vector<Row> rows;
+    Setter bare = nullptr;
+
+    /**
+     * nullopt when the command goes on, else its exit status: 0 after
+     * --help, 1 after a rejection (printed here).
+     */
+    std::optional<int>
+    parse(const std::vector<std::string> &args) const
+    {
+        for (std::size_t i = 0; i < args.size(); ++i) {
+            const std::string &arg = args[i];
+            if (arg == "--help") {
+                usage(std::cout);
+                return 0;
+            }
+            const auto row = std::find_if(
+                rows.begin(), rows.end(),
+                [&](const Row &r) { return arg == r.flag; });
+            if (row == rows.end()) {
+                if (bare && !arg.empty() && arg[0] != '-' && bare(arg))
+                    continue;
+                std::cerr << "error: unknown " << command << " option "
+                          << arg << "\n";
+                return 1;
+            }
+            if (!row->expects) {
+                row->set(arg);
+                continue;
+            }
+            if (++i == args.size()) {
+                std::cerr << "error: " << arg << " needs a value\n";
+                return 1;
+            }
+            if (!row->set(args[i])) {
+                std::cerr << "error: " << arg << " expects "
+                          << row->expects << ", got '" << args[i]
+                          << "'\n";
+                return 1;
+            }
         }
-        return take();
+        return std::nullopt;
     }
 };
 
-u32
-parsePatternFlag(Args &args)
+/** Marks a row that takes no value. */
+constexpr const char *kSwitch = nullptr;
+
+/** Marks a row whose setter takes any string (checked later). */
+constexpr const char *kText = "a value";
+
+/** Sets @p out to @p value (switches). */
+template <typename T>
+FlagTable::Setter
+assign(T &out, T value)
 {
-    const std::string text = args.value("--pattern");
-    const auto parsed = sim::parseU32(text);
-    if (!parsed) {
-        std::cerr << "error: --pattern expects 1, 2, or 4, got '"
-                  << text << "'\n";
-        std::exit(1);
-    }
-    return *parsed;
+    return [&out, value](const std::string &) {
+        out = value;
+        return true;
+    };
+}
+
+/** Stores the value (a string or an optional one). */
+template <typename T>
+FlagTable::Setter
+store(T &out)
+{
+    return [&out](const std::string &value) {
+        out = value;
+        return true;
+    };
+}
+
+/** Appends the value (repeatable flags). */
+FlagTable::Setter
+append(std::vector<std::string> &out)
+{
+    return [&out](const std::string &value) {
+        out.push_back(value);
+        return true;
+    };
+}
+
+/** A strict u32 in [lo, hi]. */
+FlagTable::Setter
+u32In(u32 &out, u32 lo = 0, u32 hi = 0xffffffffu)
+{
+    return [&out, lo, hi](const std::string &text) {
+        const auto parsed = sim::parseU32(text);
+        if (!parsed || *parsed < lo || *parsed > hi)
+            return false;
+        out = *parsed;
+        return true;
+    };
+}
+
+/** A strict u64 (into a u64 or an optional one). */
+template <typename T>
+FlagTable::Setter
+u64Of(T &out)
+{
+    return [&out](const std::string &text) {
+        u64 parsed;
+        if (!sim::serial::parseU64(text, &parsed))
+            return false;
+        out = parsed;
+        return true;
+    };
+}
+
+/** KEY=VALUE (non-empty key); @p set may refuse the value. */
+FlagTable::Setter
+keyValue(std::function<bool(const std::string &, const std::string &)>
+             set)
+{
+    return [set](const std::string &text) {
+        const auto eq = text.find('=');
+        return eq != std::string::npos && eq != 0 &&
+               set(text.substr(0, eq), text.substr(eq + 1));
+    };
 }
 
 void
@@ -358,10 +458,9 @@ writeTelemetryFiles(const std::string &metrics_out,
 }
 
 int
-cmdRun(Args args)
+cmdRun(const std::vector<std::string> &args)
 {
-    std::string workload_name, gemm_text;
-    bool have_workload = false, have_gemm = false;
+    std::optional<std::string> workload_name, gemm_text;
     std::string engine_name = "VEGETA-S-16-2";
     std::string trace_out, trace_in, cache_dir, connect_addr;
     std::string metrics_out;
@@ -371,53 +470,24 @@ cmdRun(Args args)
     bool naive = false;
     OutputFormat format = OutputFormat::Text;
 
-    while (!args.done()) {
-        const std::string arg = args.take();
-        if (arg == "--workload") {
-            workload_name = args.value(arg);
-            have_workload = true;
-        } else if (arg == "--gemm") {
-            gemm_text = args.value(arg);
-            have_gemm = true;
-        } else if (arg == "--engine") {
-            engine_name = args.value(arg);
-        } else if (arg == "--pattern") {
-            pattern = parsePatternFlag(args);
-        } else if (arg == "--cblocking") {
-            const std::string text = args.value(arg);
-            const auto parsed = sim::parseU32(text);
-            if (!parsed) {
-                std::cerr << "error: --cblocking expects 1..3, got '"
-                          << text << "'\n";
-                return 1;
-            }
-            cblocking = *parsed;
-        } else if (arg == "--no-of") {
-            of = false;
-        } else if (arg == "--naive") {
-            naive = true;
-        } else if (arg == "--csv") {
-            format = OutputFormat::Csv;
-        } else if (arg == "--json") {
-            format = OutputFormat::Json;
-        } else if (arg == "--trace-out") {
-            trace_out = args.value(arg);
-        } else if (arg == "--trace-in") {
-            trace_in = args.value(arg);
-        } else if (arg == "--cache-dir") {
-            cache_dir = args.value(arg);
-        } else if (arg == "--connect") {
-            connect_addr = args.value(arg);
-        } else if (arg == "--metrics-out") {
-            metrics_out = args.value(arg);
-        } else if (arg == "--help") {
-            usage(std::cout);
-            return 0;
-        } else {
-            std::cerr << "error: unknown run option " << arg << "\n";
-            return 1;
-        }
-    }
+    const FlagTable table{
+        "run",
+        {{"--workload", kText, store(workload_name)},
+         {"--gemm", kText, store(gemm_text)},
+         {"--engine", kText, store(engine_name)},
+         {"--pattern", "1, 2, or 4", u32In(pattern)},
+         {"--cblocking", "1..3", u32In(cblocking)},
+         {"--no-of", kSwitch, assign(of, false)},
+         {"--naive", kSwitch, assign(naive, true)},
+         {"--csv", kSwitch, assign(format, OutputFormat::Csv)},
+         {"--json", kSwitch, assign(format, OutputFormat::Json)},
+         {"--trace-out", kText, store(trace_out)},
+         {"--trace-in", kText, store(trace_in)},
+         {"--cache-dir", kText, store(cache_dir)},
+         {"--connect", kText, store(connect_addr)},
+         {"--metrics-out", kText, store(metrics_out)}}};
+    if (const auto status = table.parse(args))
+        return *status;
 
     if (!connect_addr.empty() &&
         (!trace_in.empty() || !trace_out.empty() ||
@@ -429,7 +499,7 @@ cmdRun(Args args)
     }
 
     if (!trace_in.empty() &&
-        (!trace_out.empty() || have_workload || have_gemm)) {
+        (!trace_out.empty() || workload_name || gemm_text)) {
         std::cerr << "error: --trace-in replays a saved trace; it "
                      "cannot be combined with --trace-out/--workload/"
                      "--gemm\n";
@@ -453,10 +523,10 @@ cmdRun(Args args)
                        .cBlocking(cblocking)
                        .kernel(naive ? sim::KernelVariant::Naive
                                      : sim::KernelVariant::Optimized);
-    if (have_workload)
-        builder.workload(workload_name);
-    else if (have_gemm)
-        builder.gemm(gemm_text);
+    if (workload_name)
+        builder.workload(*workload_name);
+    else if (gemm_text)
+        builder.gemm(*gemm_text);
     else
         builder.workload("GPT-L1"); // the seed's default layer
 
@@ -502,7 +572,7 @@ cmdRun(Args args)
     } else if (!trace_out.empty()) {
         // One generation pass teed into the replayer and the file;
         // the writer patches the header's op count after the last op.
-        std::ofstream os(trace_out, std::ios::binary);
+        std::ofstream os = cpu::createTraceFile(trace_out);
         cpu::TraceWriter writer(os);
         // A file that did not open fails finish() without a run.
         if (os)
@@ -534,61 +604,50 @@ cmdRun(Args args)
 }
 
 int
-cmdAnalyze(Args args)
+cmdAnalyze(const std::vector<std::string> &args)
 {
     std::string model;
     OutputFormat format = OutputFormat::Text;
     sim::Session session;
     auto builder = session.job();
 
-    while (!args.done()) {
-        const std::string arg = args.take();
-        if (arg == "--model") {
-            model = args.value(arg);
-        } else if (arg == "--workload") {
-            builder.workload(args.value(arg));
-        } else if (arg == "--engine") {
-            builder.engine(args.value(arg));
-        } else if (arg == "--param") {
-            const std::string text = args.value(arg);
-            const auto kv = parseKeyValue(text);
-            if (!kv) {
-                std::cerr << "error: --param expects KEY=VALUE, got '"
-                          << text << "'\n";
-                return 1;
-            }
-            const auto value = parseDouble(kv->second);
-            if (!value) {
-                std::cerr << "error: --param " << kv->first
-                          << " expects a number, got '" << kv->second
-                          << "'\n";
-                return 1;
-            }
-            builder.param(kv->first, *value);
-        } else if (arg == "--option") {
-            const std::string text = args.value(arg);
-            const auto kv = parseKeyValue(text);
-            if (!kv) {
-                std::cerr << "error: --option expects KEY=VALUE, got '"
-                          << text << "'\n";
-                return 1;
-            }
-            builder.option(kv->first, kv->second);
-        } else if (arg == "--csv") {
-            format = OutputFormat::Csv;
-        } else if (arg == "--json") {
-            format = OutputFormat::Json;
-        } else if (arg == "--help") {
-            usage(std::cout);
-            return 0;
-        } else if (!arg.empty() && arg[0] != '-' && model.empty()) {
-            model = arg;
-        } else {
-            std::cerr << "error: unknown analyze option " << arg
-                      << "\n";
-            return 1;
-        }
-    }
+    const FlagTable table{
+        "analyze",
+        {{"--model", kText, store(model)},
+         {"--workload", kText,
+          [&](const std::string &name) {
+              builder.workload(name);
+              return true;
+          }},
+         {"--engine", kText,
+          [&](const std::string &name) {
+              builder.engine(name);
+              return true;
+          }},
+         {"--param", "KEY=NUMBER",
+          keyValue([&](const std::string &key,
+                       const std::string &text) {
+              const auto value = parseDouble(text);
+              if (value)
+                  builder.param(key, *value);
+              return value.has_value();
+          })},
+         {"--option", "KEY=VALUE",
+          keyValue([&](const std::string &key,
+                       const std::string &value) {
+              builder.option(key, value);
+              return true;
+          })},
+         {"--csv", kSwitch, assign(format, OutputFormat::Csv)},
+         {"--json", kSwitch, assign(format, OutputFormat::Json)}},
+        [&](const std::string &name) {
+            if (!model.empty())
+                return false;
+            model = name;
+            return true;
+        }};
+    if (const auto status = table.parse(args))
+        return *status;
 
     if (model.empty()) {
         std::cerr << "error: analyze needs a model name; registered "
@@ -624,7 +683,7 @@ cmdAnalyze(Args args)
 }
 
 int
-cmdSweep(Args args)
+cmdSweep(const std::vector<std::string> &args)
 {
     bool quick = false;
     std::vector<std::string> workload_names, engine_names;
@@ -635,56 +694,28 @@ cmdSweep(Args args)
     std::string span_trace_out, metrics_out;
     OutputFormat format = OutputFormat::Text;
 
-    while (!args.done()) {
-        const std::string arg = args.take();
-        if (arg == "--quick") {
-            quick = true;
-        } else if (arg == "--workload") {
-            workload_names.push_back(args.value(arg));
-        } else if (arg == "--engine") {
-            engine_names.push_back(args.value(arg));
-        } else if (arg == "--pattern") {
-            patterns.push_back(parsePatternFlag(args));
-        } else if (arg == "--trace-out") {
-            span_trace_out = args.value(arg);
-        } else if (arg == "--metrics-out") {
-            metrics_out = args.value(arg);
-        } else if (arg == "--threads") {
-            const std::string text = args.value(arg);
-            const auto parsed = sim::parseU32(text);
-            if (!parsed || *parsed == 0) {
-                std::cerr << "error: --threads expects a positive "
-                             "integer, got '"
-                          << text << "'\n";
-                return 1;
-            }
-            threads = *parsed;
-        } else if (arg == "--workers") {
-            const std::string text = args.value(arg);
-            const auto parsed = sim::parseU32(text);
-            if (!parsed || *parsed == 0) {
-                std::cerr << "error: --workers expects a positive "
-                             "integer, got '"
-                          << text << "'\n";
-                return 1;
-            }
-            workers = *parsed;
-        } else if (arg == "--cache-dir") {
-            cache_dir = args.value(arg);
-        } else if (arg == "--connect") {
-            connect_addr = args.value(arg);
-        } else if (arg == "--csv") {
-            format = OutputFormat::Csv;
-        } else if (arg == "--json") {
-            format = OutputFormat::Json;
-        } else if (arg == "--help") {
-            usage(std::cout);
-            return 0;
-        } else {
-            std::cerr << "error: unknown sweep option " << arg << "\n";
-            return 1;
-        }
-    }
+    const FlagTable table{
+        "sweep",
+        {{"--quick", kSwitch, assign(quick, true)},
+         {"--workload", kText, append(workload_names)},
+         {"--engine", kText, append(engine_names)},
+         {"--pattern", "1, 2, or 4",
+          [&](const std::string &text) {
+              const auto pattern = sim::parseU32(text);
+              if (pattern)
+                  patterns.push_back(*pattern);
+              return pattern.has_value();
+          }},
+         {"--trace-out", kText, store(span_trace_out)},
+         {"--metrics-out", kText, store(metrics_out)},
+         {"--threads", "a positive integer", u32In(threads, 1)},
+         {"--workers", "a positive integer", u32In(workers, 1)},
+         {"--cache-dir", kText, store(cache_dir)},
+         {"--connect", kText, store(connect_addr)},
+         {"--csv", kSwitch, assign(format, OutputFormat::Csv)},
+         {"--json", kSwitch, assign(format, OutputFormat::Json)}}};
+    if (const auto status = table.parse(args))
+        return *status;
 
     if (!connect_addr.empty() &&
         (workers > 0 || threads > 0 || !cache_dir.empty())) {
@@ -806,7 +837,7 @@ cmdSweep(Args args)
 }
 
 int
-cmdTune(Args args)
+cmdTune(const std::vector<std::string> &args)
 {
     bool quick = false;
     bool candidates = false;
@@ -819,106 +850,47 @@ cmdTune(Args args)
     std::optional<double> max_area;
     OutputFormat format = OutputFormat::Text;
 
-    while (!args.done()) {
-        const std::string arg = args.take();
-        if (arg == "--quick") {
-            quick = true;
-        } else if (arg == "--workload") {
-            workload_names.push_back(args.value(arg));
-        } else if (arg == "--engine") {
-            engine_names.push_back(args.value(arg));
-        } else if (arg == "--space") {
-            space_name = args.value(arg);
-            if (space_name != "full" && space_name != "figure13") {
-                std::cerr << "error: --space expects full or "
-                             "figure13, got '"
-                          << space_name << "'\n";
-                return 1;
-            }
-        } else if (arg == "--strategy") {
-            const std::string text = args.value(arg);
-            const auto strategy = sim::parseTuneStrategy(text);
-            if (!strategy) {
-                std::cerr << "error: --strategy expects exhaustive "
-                             "or halving, got '"
-                          << text << "'\n";
-                return 1;
-            }
-            options.strategy = *strategy;
-        } else if (arg == "--budget") {
-            const std::string text = args.value(arg);
-            const auto parsed = sim::parseU32(text);
-            if (!parsed || *parsed == 0) {
-                std::cerr << "error: --budget expects a positive "
-                             "integer of replays, got '"
-                          << text << "'\n";
-                return 1;
-            }
-            options.budget.replays = *parsed;
-        } else if (arg == "--analyses") {
-            const std::string text = args.value(arg);
-            u64 parsed;
-            if (!sim::serial::parseU64(text, &parsed)) {
-                std::cerr << "error: --analyses expects a "
-                             "non-negative integer, got '"
-                          << text << "'\n";
-                return 1;
-            }
-            options.budget.analyses = parsed;
-        } else if (arg == "--seed") {
-            const std::string text = args.value(arg);
-            u64 parsed;
-            if (!sim::serial::parseU64(text, &parsed)) {
-                std::cerr << "error: --seed expects a non-negative "
-                             "integer, got '"
-                          << text << "'\n";
-                return 1;
-            }
-            options.seed = parsed;
-        } else if (arg == "--max-area") {
-            const std::string text = args.value(arg);
-            const auto parsed = parseDouble(text);
-            if (!parsed || *parsed <= 0.0) {
-                std::cerr << "error: --max-area expects a positive "
-                             "number, got '"
-                          << text << "'\n";
-                return 1;
-            }
-            max_area = *parsed;
-        } else if (arg == "--candidates") {
-            candidates = true;
-        } else if (arg == "--no-cost-model") {
-            cost_model = false;
-        } else if (arg == "--threads") {
-            const std::string text = args.value(arg);
-            const auto parsed = sim::parseU32(text);
-            if (!parsed || *parsed == 0) {
-                std::cerr << "error: --threads expects a positive "
-                             "integer, got '"
-                          << text << "'\n";
-                return 1;
-            }
-            options.threads = *parsed;
-        } else if (arg == "--cache-dir") {
-            cache_dir = args.value(arg);
-        } else if (arg == "--connect") {
-            connect_addr = args.value(arg);
-        } else if (arg == "--trace-out") {
-            span_trace_out = args.value(arg);
-        } else if (arg == "--metrics-out") {
-            metrics_out = args.value(arg);
-        } else if (arg == "--csv") {
-            format = OutputFormat::Csv;
-        } else if (arg == "--json") {
-            format = OutputFormat::Json;
-        } else if (arg == "--help") {
-            usage(std::cout);
-            return 0;
-        } else {
-            std::cerr << "error: unknown tune option " << arg << "\n";
-            return 1;
-        }
-    }
+    const FlagTable table{
+        "tune",
+        {{"--quick", kSwitch, assign(quick, true)},
+         {"--workload", kText, append(workload_names)},
+         {"--engine", kText, append(engine_names)},
+         {"--space", "full or figure13",
+          [&](const std::string &name) {
+              space_name = name;
+              return name == "full" || name == "figure13";
+          }},
+         {"--strategy", "exhaustive or halving",
+          [&](const std::string &name) {
+              const auto strategy = sim::parseTuneStrategy(name);
+              if (strategy)
+                  options.strategy = *strategy;
+              return strategy.has_value();
+          }},
+         {"--budget", "a positive integer of replays",
+          u32In(options.budget.replays, 1)},
+         {"--analyses", "a non-negative integer",
+          u64Of(options.budget.analyses)},
+         {"--seed", "a non-negative integer", u64Of(options.seed)},
+         {"--max-area", "a positive number",
+          [&](const std::string &text) {
+              const auto area = parseDouble(text);
+              if (!area || *area <= 0.0)
+                  return false;
+              max_area = *area;
+              return true;
+          }},
+         {"--candidates", kSwitch, assign(candidates, true)},
+         {"--no-cost-model", kSwitch, assign(cost_model, false)},
+         {"--threads", "a positive integer", u32In(options.threads, 1)},
+         {"--cache-dir", kText, store(cache_dir)},
+         {"--connect", kText, store(connect_addr)},
+         {"--trace-out", kText, store(span_trace_out)},
+         {"--metrics-out", kText, store(metrics_out)},
+         {"--csv", kSwitch, assign(format, OutputFormat::Csv)},
+         {"--json", kSwitch, assign(format, OutputFormat::Json)}}};
+    if (const auto status = table.parse(args))
+        return *status;
 
     if (!connect_addr.empty() && options.threads > 0) {
         std::cerr << "error: --connect cannot be combined with "
@@ -1036,66 +1008,32 @@ cmdTune(Args args)
 }
 
 int
-cmdServe(Args args)
+cmdServe(const std::vector<std::string> &args)
 {
     sim::ServerOptions options;
     bool have_socket = false;
 
-    while (!args.done()) {
-        const std::string arg = args.take();
-        if (arg == "--socket") {
-            options.socketPath = args.value(arg);
-            have_socket = true;
-        } else if (arg == "--port") {
-            const std::string text = args.value(arg);
-            const auto parsed = sim::parseU32(text);
-            if (!parsed || *parsed > 65535) {
-                std::cerr << "error: --port expects 0..65535, got '"
-                          << text << "'\n";
-                return 1;
-            }
-            options.port = *parsed;
-            options.useTcp = true;
-        } else if (arg == "--service-workers") {
-            const std::string text = args.value(arg);
-            const auto parsed = sim::parseU32(text);
-            if (!parsed) {
-                std::cerr << "error: --service-workers expects a "
-                             "non-negative integer, got '"
-                          << text << "'\n";
-                return 1;
-            }
-            options.serviceWorkers = *parsed;
-        } else if (arg == "--threads") {
-            const std::string text = args.value(arg);
-            const auto parsed = sim::parseU32(text);
-            if (!parsed || *parsed == 0) {
-                std::cerr << "error: --threads expects a positive "
-                             "integer, got '"
-                          << text << "'\n";
-                return 1;
-            }
-            options.threads = *parsed;
-        } else if (arg == "--queue-depth") {
-            const std::string text = args.value(arg);
-            const auto parsed = sim::parseU32(text);
-            if (!parsed || *parsed == 0) {
-                std::cerr << "error: --queue-depth expects a positive "
-                             "integer, got '"
-                          << text << "'\n";
-                return 1;
-            }
-            options.queueDepth = *parsed;
-        } else if (arg == "--cache-dir") {
-            options.cacheDir = args.value(arg);
-        } else if (arg == "--help") {
-            usage(std::cout);
-            return 0;
-        } else {
-            std::cerr << "error: unknown serve option " << arg << "\n";
-            return 1;
-        }
-    }
+    const FlagTable table{
+        "serve",
+        {{"--socket", kText,
+          [&](const std::string &path) {
+              options.socketPath = path;
+              have_socket = true;
+              return true;
+          }},
+         {"--port", "0..65535",
+          [&](const std::string &text) {
+              options.useTcp = true;
+              return u32In(options.port, 0, 65535)(text);
+          }},
+         {"--service-workers", "a non-negative integer",
+          u32In(options.serviceWorkers)},
+         {"--threads", "a positive integer", u32In(options.threads, 1)},
+         {"--queue-depth", "a positive integer",
+          u32In(options.queueDepth, 1)},
+         {"--cache-dir", kText, store(options.cacheDir)}}};
+    if (const auto status = table.parse(args))
+        return *status;
 
     if (have_socket && options.useTcp) {
         std::cerr << "error: serve listens on --socket PATH or "
@@ -1111,22 +1049,13 @@ cmdServe(Args args)
 }
 
 int
-cmdStats(Args args)
+cmdStats(const std::vector<std::string> &args)
 {
     std::string connect_addr;
-    while (!args.done()) {
-        const std::string arg = args.take();
-        if (arg == "--connect") {
-            connect_addr = args.value(arg);
-        } else if (arg == "--help") {
-            usage(std::cout);
-            return 0;
-        } else {
-            std::cerr << "error: unknown stats option " << arg
-                      << "\n";
-            return 1;
-        }
-    }
+    const FlagTable table{"stats",
+                          {{"--connect", kText, store(connect_addr)}}};
+    if (const auto status = table.parse(args))
+        return *status;
     if (connect_addr.empty()) {
         std::cerr << "error: stats needs --connect ADDR (the serve "
                      "daemon to query)\n";
@@ -1151,24 +1080,20 @@ cmdStats(Args args)
 }
 
 int
-cmdList(Args args)
+cmdList(const std::vector<std::string> &args)
 {
     std::string what = "all";
     bool json = false;
-    while (!args.done()) {
-        const std::string arg = args.take();
-        if (arg == "--json")
-            json = true;
-        else if (arg == "--help") {
-            usage(std::cout);
-            return 0;
-        } else if (!arg.empty() && arg[0] != '-' && what == "all")
-            what = arg;
-        else {
-            std::cerr << "error: unknown list option " << arg << "\n";
-            return 1;
-        }
-    }
+    const FlagTable table{"list",
+                          {{"--json", kSwitch, assign(json, true)}},
+                          [&](const std::string &filter) {
+                              if (what != "all")
+                                  return false;
+                              what = filter;
+                              return true;
+                          }};
+    if (const auto status = table.parse(args))
+        return *status;
     if (what != "all" && what != "workloads" && what != "engines" &&
         what != "models") {
         std::cerr << "error: list expects workloads, engines, or "
@@ -1249,46 +1174,34 @@ cmdList(Args args)
 }
 
 int
-cmdCache(Args args)
+cmdCache(const std::vector<std::string> &args)
 {
     std::string action, cache_dir;
     std::vector<std::string> merge_dirs;
     std::optional<u64> max_bytes, max_entries;
     bool extended_json = false;
-    while (!args.done()) {
-        const std::string arg = args.take();
-        if (arg == "--cache-dir") {
-            cache_dir = args.value(arg);
-        } else if (arg == "--max-bytes" || arg == "--max-entries") {
-            const std::string text = args.value(arg);
-            // Full u64 range: a multi-GiB byte budget is reasonable
-            // for a grow-forever cache file.
-            u64 parsed;
-            if (!sim::serial::parseU64(text, &parsed)) {
-                std::cerr << "error: " << arg
-                          << " expects a non-negative integer, got '"
-                          << text << "'\n";
-                return 1;
-            }
-            (arg == "--max-bytes" ? max_bytes : max_entries) = parsed;
-        } else if (arg == "--json") {
-            // stats output is already JSON; --json opts into the
-            // extended fields while the plain document stays stable
-            // for existing scripted callers.
-            extended_json = true;
-        } else if (arg == "--help") {
-            usage(std::cout);
-            return 0;
-        } else if (!arg.empty() && arg[0] != '-' && action.empty()) {
-            action = arg;
-        } else if (!arg.empty() && arg[0] != '-' &&
-                   action == "merge") {
-            merge_dirs.push_back(arg);
-        } else {
-            std::cerr << "error: unknown cache option " << arg << "\n";
-            return 1;
-        }
-    }
+    // Full u64 range for the prune limits: a multi-GiB byte budget is
+    // reasonable for a grow-forever cache file.  `stats` output is
+    // already JSON; --json opts into the extended fields while the
+    // plain document stays stable for existing scripted callers.
+    const FlagTable table{
+        "cache",
+        {{"--cache-dir", kText, store(cache_dir)},
+         {"--max-bytes", "a non-negative integer", u64Of(max_bytes)},
+         {"--max-entries", "a non-negative integer",
+          u64Of(max_entries)},
+         {"--json", kSwitch, assign(extended_json, true)}},
+        [&](const std::string &arg) {
+            if (action.empty())
+                action = arg;
+            else if (action == "merge")
+                merge_dirs.push_back(arg);
+            else
+                return false;
+            return true;
+        }};
+    if (const auto status = table.parse(args))
+        return *status;
     if (action != "stats" && action != "clear" && action != "prune" &&
         action != "merge") {
         std::cerr << "error: cache expects 'stats', 'clear', "
@@ -1436,48 +1349,25 @@ cmdCache(Args args)
 int
 main(int argc, char **argv)
 {
-    Args args;
-    for (int i = 1; i < argc; ++i)
-        args.argv.emplace_back(argv[i]);
-
-    if (args.done()) {
+    if (argc < 2) {
         usage(std::cerr);
         return 1;
     }
-
-    const std::string command = args.take();
-    if (command == "run")
-        return cmdRun(std::move(args));
-    if (command == "analyze")
-        return cmdAnalyze(std::move(args));
-    if (command == "sweep")
-        return cmdSweep(std::move(args));
-    if (command == "tune")
-        return cmdTune(std::move(args));
-    if (command == "serve")
-        return cmdServe(std::move(args));
-    if (command == "stats")
-        return cmdStats(std::move(args));
-    if (command == "list")
-        return cmdList(std::move(args));
-    if (command == "cache")
-        return cmdCache(std::move(args));
+    const std::string command = argv[1];
+    const std::vector<std::string> args(argv + 2, argv + argc);
+    using Command = int (*)(const std::vector<std::string> &);
+    const std::pair<const char *, Command> commands[] = {
+        {"run", cmdRun},     {"analyze", cmdAnalyze},
+        {"sweep", cmdSweep}, {"tune", cmdTune},
+        {"serve", cmdServe}, {"stats", cmdStats},
+        {"list", cmdList},   {"cache", cmdCache},
+    };
+    for (const auto &[name, run] : commands)
+        if (command == name)
+            return run(args);
     if (command == "--help" || command == "help") {
         usage(std::cout);
         return 0;
-    }
-    if (command == "--list") {
-        // Deprecated flag spelling of `list`.
-        std::cerr << "note: '--list' is deprecated; use "
-                     "'simulate_cli list'\n";
-        return cmdList(std::move(args));
-    }
-    if (!command.empty() && command[0] == '-') {
-        // Deprecated flag-style invocation: route to `run`.
-        std::cerr << "note: flag-style invocation is deprecated; use "
-                     "'simulate_cli run ...'\n";
-        args.next = 0;
-        return cmdRun(std::move(args));
     }
     std::cerr << "error: unknown command '" << command << "'\n\n";
     usage(std::cerr);

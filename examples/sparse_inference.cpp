@@ -56,17 +56,17 @@ main()
     const auto engines = simulator.engines().names();
     std::vector<sim::SimulationRequest> requests;
     auto build = [&](const std::string &engine, u32 pattern, bool of) {
-        auto builder = simulator.request()
+        auto builder = simulator.job()
                            .gemm(dims)
                            .engine(engine)
                            .pattern(pattern)
                            .outputForwarding(of);
-        const auto request = builder.build();
-        if (!request) {
+        const auto job = builder.build();
+        if (!job) {
             std::cerr << "bad request: " << builder.error() << "\n";
             std::exit(1);
         }
-        requests.push_back(*request);
+        requests.push_back(job->simulation);
     };
     build("VEGETA-D-1-2", 2, false); // speed-up baseline
     for (const auto &name : engines) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -252,10 +253,20 @@ writeTrace(std::ostream &os, const Trace &trace)
     return writer.finish();
 }
 
+std::ofstream
+createTraceFile(const std::string &path)
+{
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    if (fs::is_regular_file(fs::symlink_status(path, ec)))
+        fs::remove(path, ec);
+    return std::ofstream(path, std::ios::binary);
+}
+
 bool
 writeTraceFile(const std::string &path, const Trace &trace)
 {
-    std::ofstream os(path, std::ios::binary);
+    std::ofstream os = createTraceFile(path);
     return os && writeTrace(os, trace);
 }
 

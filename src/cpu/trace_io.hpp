@@ -36,6 +36,7 @@
 #define VEGETA_CPU_TRACE_IO_HPP
 
 #include <array>
+#include <fstream>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -153,6 +154,17 @@ class TraceWriter final : public TraceSink
     u64 written_ = 0;
     telemetry::Span span_;
 };
+
+/**
+ * Open @p path for writing a new trace; check the stream before use.
+ * An existing regular file is removed first, so the trace lands in a
+ * fresh inode instead of truncating the old one: on ext4 (with the
+ * default auto_da_alloc) a file truncated and rewritten starts
+ * writeback at close, and the next truncate of it waits for that
+ * I/O, often for hundreds of milliseconds.  A symlink is written
+ * through and a device is opened as it is.
+ */
+std::ofstream createTraceFile(const std::string &path);
 
 /**
  * Serialize a trace to a stream / file; false when a byte could not

@@ -1,9 +1,5 @@
 #include "kernels/driver.hpp"
 
-#include "common/logging.hpp"
-#include "common/stats.hpp"
-#include "sim/session.hpp"
-
 namespace vegeta::kernels {
 
 Measurement
@@ -33,72 +29,6 @@ simulateLayer(const Workload &workload, u32 layer_n,
     m.tileComputes = run.tileComputes;
     m.macUtilization = sim.macUtilization;
     return m;
-}
-
-std::vector<Measurement>
-figure13Sweep(const std::vector<Workload> &workloads,
-              const std::vector<engine::EngineConfig> &engines,
-              const std::vector<u32> &layer_ns)
-{
-    // Delegate to the sim facade: registries built from the caller's
-    // sets, the grid in the paper's (workload, pattern, engine, OF)
-    // order, executed on one parallel Session batch.
-    sim::EngineRegistry engine_reg;
-    std::vector<std::string> engine_names;
-    for (const auto &engine : engines) {
-        engine_reg.add(engine);
-        engine_names.push_back(engine.name);
-    }
-    sim::WorkloadRegistry workload_reg;
-    std::vector<std::string> workload_names;
-    for (const auto &workload : workloads) {
-        workload_reg.add(workload, "sweep");
-        workload_names.push_back(workload.name);
-    }
-
-    const sim::Session session(std::move(engine_reg),
-                               std::move(workload_reg));
-    const auto grid = sim::figure13Grid(session, workload_names,
-                                        engine_names, layer_ns);
-    const auto results = session.runBatch(grid);
-
-    std::vector<Measurement> out;
-    out.reserve(results.size());
-    for (const auto &r : results) {
-        Measurement m;
-        m.workload = r.workload;
-        m.engineName = r.engine;
-        m.layerN = r.layerN;
-        m.executedN = r.executedN;
-        m.outputForwarding = r.outputForwarding;
-        m.coreCycles = r.coreCycles;
-        m.instructions = r.instructions;
-        m.tileComputes = r.tileComputes;
-        m.macUtilization = r.macUtilization;
-        out.push_back(m);
-    }
-    return out;
-}
-
-double
-geomeanSpeedupVsDenseBaseline(const std::vector<Workload> &workloads,
-                              u32 layer_n,
-                              const engine::EngineConfig &engine,
-                              bool output_forwarding)
-{
-    const engine::EngineConfig baseline = engine::vegetaD12();
-    std::vector<double> speedups;
-    speedups.reserve(workloads.size());
-    for (const auto &workload : workloads) {
-        const Measurement base =
-            simulateLayer(workload, layer_n, baseline, false);
-        const Measurement test =
-            simulateLayer(workload, layer_n, engine, output_forwarding);
-        VEGETA_ASSERT(test.coreCycles > 0, "zero-cycle simulation");
-        speedups.push_back(static_cast<double>(base.coreCycles) /
-                           static_cast<double>(test.coreCycles));
-    }
-    return geomean(speedups);
 }
 
 } // namespace vegeta::kernels

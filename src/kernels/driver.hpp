@@ -1,14 +1,18 @@
 /**
  * @file
- * End-to-end experiment driver: workload -> kernel trace -> cycle-level
- * CPU simulation, the flow behind Figure 13 and the headline speed-ups.
+ * End-to-end experiment primitive: workload -> materialized kernel
+ * trace -> cycle-level CPU simulation of one layer.
+ *
+ * simulateNetwork builds on it, and tests use it as the
+ * materialized-trace reference for sim::Session's streaming path.
+ * Grids and speed-ups (Figure 13, the headline numbers) are
+ * sim::figure13Grid + Session::runBatch and sim::geomeanSpeedup.
  */
 
 #ifndef VEGETA_KERNELS_DRIVER_HPP
 #define VEGETA_KERNELS_DRIVER_HPP
 
 #include <string>
-#include <vector>
 
 #include "cpu/trace_cpu.hpp"
 #include "engine/config.hpp"
@@ -36,30 +40,6 @@ Measurement simulateLayer(const Workload &workload, u32 layer_n,
                           const engine::EngineConfig &engine,
                           bool output_forwarding,
                           const cpu::CoreConfig &core = {});
-
-/**
- * Figure 13 sweep: every evaluated engine x every workload x each
- * layer-wise pattern (4:4, 2:4, 1:4), with OF variants for the sparse
- * designs.  Runtime is reported in core cycles (2 GHz core, engines at
- * 0.5 GHz through the 4x clock divider).
- *
- * Legacy shim: delegates to sim::SweepRunner over ad-hoc registries
- * (an intentional upward dependency inside the single static
- * library).  New code should build a sim::figure13Grid directly.
- */
-std::vector<Measurement>
-figure13Sweep(const std::vector<Workload> &workloads,
-              const std::vector<engine::EngineConfig> &engines,
-              const std::vector<u32> &layer_ns = {4, 2, 1});
-
-/**
- * Geometric-mean speed-up of `engine` (with optional OF) over the
- * RASA-DM dense baseline across the workloads at one layer pattern --
- * the abstract's 1.09x / 2.20x / 3.74x numbers.
- */
-double geomeanSpeedupVsDenseBaseline(
-    const std::vector<Workload> &workloads, u32 layer_n,
-    const engine::EngineConfig &engine, bool output_forwarding);
 
 } // namespace vegeta::kernels
 

@@ -15,7 +15,7 @@
  * an answer -- only how often the simulator actually runs.
  *
  * The cache is sharded by key hash with one mutex per shard so
- * SweepRunner worker threads do not serialize on a single lock
+ * Session::runBatch's threads do not serialize on a single lock
  * ("When More Cores Hurts"-style contention is the failure mode this
  * avoids); hit/miss/insert counters are lock-free atomics.
  */
@@ -55,8 +55,8 @@ struct CacheStats
 
 /**
  * Thread-safe, sharded map from canonical request keys to results.
- * Safe for concurrent find/insert from any number of SweepRunner
- * workers; inserting an existing key is a no-op (the first result
+ * Safe for concurrent find/insert from any number of runBatch
+ * threads; inserting an existing key is a no-op (the first result
  * wins, and equal keys imply equal results anyway).
  */
 class ResultCache

@@ -209,7 +209,7 @@ JobBuilder::build()
         return Job::analyze(std::move(request));
     }
 
-    // Simulation job: the old RequestBuilder contract.
+    // Simulation job: exactly one target and one engine.
     if (!params_.empty() || !options_.empty())
         fail("param/option require an analytical model()");
     else if (workload_names_.size() > 1)

@@ -11,10 +11,11 @@
  * Session::runBatch treats them uniformly (keyed dedupe, thread pool,
  * deterministic output order).
  *
- * JobBuilder subsumes RequestBuilder validation: every name is
- * checked against the session's registries, errors are collected
- * first-wins, and build() only returns a Job that the Session is
- * guaranteed to run.
+ * JobBuilder is the one validating builder: every name is checked
+ * against the session's registries, errors are collected first-wins,
+ * and build() only returns a Job that the Session is guaranteed to
+ * run.  A caller that needs the plain SimulationRequest takes
+ * `job->simulation`.
  */
 
 #ifndef VEGETA_SIM_JOB_HPP
@@ -22,6 +23,7 @@
 
 #include "sim/analytical.hpp"
 #include "sim/cache.hpp"
+#include "sim/registry.hpp"
 #include "sim/request.hpp"
 #include "sim/result.hpp"
 
@@ -81,7 +83,8 @@ struct JobResult
 /**
  * Fluent, validating builder for both job kinds.  Calling model()
  * makes the job analytical; otherwise build() produces a simulation
- * job under exactly the old RequestBuilder rules.  Name lookups fail
+ * job: one workload or GEMM target and one engine, a pattern of 1, 2
+ * or 4 and a C blocking of 1..3.  Name lookups fail
  * eagerly (first error wins); cross-kind constraints (a pattern on an
  * analytical job, a param on a simulation job) are checked at
  * build().

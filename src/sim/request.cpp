@@ -1,7 +1,6 @@
 #include "sim/request.hpp"
 
 #include <cstdio>
-#include <sstream>
 
 namespace vegeta::sim {
 
@@ -38,127 +37,6 @@ parseU32(const std::string &text)
     if (value > 0xffffffffULL)
         return std::nullopt;
     return static_cast<u32>(value);
-}
-
-RequestBuilder::RequestBuilder(const EngineRegistry &engines,
-                               const WorkloadRegistry &workloads)
-    : engines_(engines), workloads_(workloads)
-{
-}
-
-RequestBuilder &
-RequestBuilder::workload(const std::string &name)
-{
-    const auto found = workloads_.find(name);
-    if (!found) {
-        fail("unknown workload: " + name);
-        return *this;
-    }
-    request_.label = found->name;
-    request_.gemm = found->gemm;
-    have_target_ = true;
-    return *this;
-}
-
-RequestBuilder &
-RequestBuilder::gemm(const kernels::GemmDims &dims)
-{
-    if (dims.m == 0 || dims.n == 0 || dims.k == 0) {
-        fail("GEMM dimensions must be non-zero");
-        return *this;
-    }
-    std::ostringstream label;
-    label << dims.m << "x" << dims.n << "x" << dims.k;
-    request_.label = label.str();
-    request_.gemm = dims;
-    have_target_ = true;
-    return *this;
-}
-
-RequestBuilder &
-RequestBuilder::gemm(const std::string &spec)
-{
-    const auto dims = parseGemmSpec(spec);
-    if (!dims) {
-        fail("bad GEMM spec (expected MxNxK): " + spec);
-        return *this;
-    }
-    return gemm(*dims);
-}
-
-RequestBuilder &
-RequestBuilder::engine(const std::string &name)
-{
-    if (!engines_.contains(name)) {
-        fail("unknown engine: " + name);
-        return *this;
-    }
-    request_.engine = name;
-    return *this;
-}
-
-RequestBuilder &
-RequestBuilder::pattern(u32 layer_n)
-{
-    if (layer_n != 1 && layer_n != 2 && layer_n != 4) {
-        fail("pattern must be 1, 2, or 4 (got " +
-             std::to_string(layer_n) + ")");
-        return *this;
-    }
-    request_.patternN = layer_n;
-    return *this;
-}
-
-RequestBuilder &
-RequestBuilder::outputForwarding(bool enabled)
-{
-    request_.outputForwarding = enabled;
-    return *this;
-}
-
-RequestBuilder &
-RequestBuilder::kernel(KernelVariant variant)
-{
-    request_.kernel = variant;
-    return *this;
-}
-
-RequestBuilder &
-RequestBuilder::cBlocking(u32 c_tiles)
-{
-    if (c_tiles < 1 || c_tiles > 3) {
-        fail("cBlocking must be 1..3 (got " +
-             std::to_string(c_tiles) + ")");
-        return *this;
-    }
-    request_.cBlocking = c_tiles;
-    return *this;
-}
-
-RequestBuilder &
-RequestBuilder::core(const cpu::CoreConfig &config)
-{
-    request_.core = config;
-    return *this;
-}
-
-std::optional<SimulationRequest>
-RequestBuilder::build()
-{
-    if (error_.empty() && !have_target_)
-        fail("no workload or GEMM dimensions given");
-    if (error_.empty() && request_.engine.empty())
-        fail("no engine given");
-    if (!error_.empty())
-        return std::nullopt;
-    return request_;
-}
-
-void
-RequestBuilder::fail(const std::string &message)
-{
-    if (error_.empty())
-        error_ = message;
 }
 
 } // namespace vegeta::sim

@@ -7,8 +7,8 @@
  * where (engine design point), and how (layer-wise N:4 pattern,
  * output forwarding, kernel variant, core overrides).  Requests are
  * plain data so they can be stored, compared, and sharded across
- * threads; RequestBuilder validates against the registries so every
- * request handed to the Simulator is known-runnable.
+ * threads; sim/job.hpp's JobBuilder validates against the registries
+ * so every request handed to the Session is known-runnable.
  */
 
 #ifndef VEGETA_SIM_REQUEST_HPP
@@ -19,7 +19,6 @@
 
 #include "cpu/trace_cpu.hpp"
 #include "kernels/gemm_kernels.hpp"
-#include "sim/registry.hpp"
 
 namespace vegeta::sim {
 
@@ -58,7 +57,7 @@ struct SimulationRequest
 
 /**
  * Strict "MxNxK" parser (rejects trailing garbage and zero dims),
- * shared by the CLI and the builder.
+ * shared by the CLI and JobBuilder.
  */
 std::optional<kernels::GemmDims>
 parseGemmSpec(const std::string &spec);
@@ -69,57 +68,6 @@ parseGemmSpec(const std::string &spec);
  * Unlike atoi, garbage and negatives are errors, not silent zeros.
  */
 std::optional<u32> parseU32(const std::string &text);
-
-/**
- * Fluent, validating builder.  Errors (unknown engine or workload,
- * bad pattern, bad GEMM spec) are collected as they happen;
- * `build()` returns the request only if everything resolved.
- *
- *   auto req = RequestBuilder(engines, workloads)
- *                  .workload("BERT-L1")
- *                  .engine("VEGETA-S-16-2")
- *                  .pattern(2)
- *                  .outputForwarding(true)
- *                  .build();
- *   if (!req) { ... builder.error() ... }
- */
-class RequestBuilder
-{
-  public:
-    RequestBuilder(const EngineRegistry &engines,
-                   const WorkloadRegistry &workloads);
-
-    /** Simulate a registered workload. */
-    RequestBuilder &workload(const std::string &name);
-
-    /** Simulate explicit GEMM dimensions. */
-    RequestBuilder &gemm(const kernels::GemmDims &dims);
-
-    /** Simulate a "MxNxK" spec string. */
-    RequestBuilder &gemm(const std::string &spec);
-
-    RequestBuilder &engine(const std::string &name);
-    RequestBuilder &pattern(u32 layer_n);
-    RequestBuilder &outputForwarding(bool enabled);
-    RequestBuilder &kernel(KernelVariant variant);
-    RequestBuilder &cBlocking(u32 c_tiles);
-    RequestBuilder &core(const cpu::CoreConfig &config);
-
-    /** The request, or nullopt if any setter failed validation. */
-    std::optional<SimulationRequest> build();
-
-    /** First validation error ("" while the builder is clean). */
-    const std::string &error() const { return error_; }
-
-  private:
-    void fail(const std::string &message);
-
-    const EngineRegistry &engines_;
-    const WorkloadRegistry &workloads_;
-    SimulationRequest request_;
-    bool have_target_ = false;
-    std::string error_;
-};
 
 } // namespace vegeta::sim
 

@@ -2,7 +2,7 @@
  * @file
  * Structured simulation results and their serializations.
  *
- * Every Simulator run produces one SimulationResult: the request echo
+ * Every Session run produces one SimulationResult: the request echo
  * (so a result is self-describing inside a batch) plus the
  * measurements the benches and the paper figures consume.  Batches
  * serialize to an aligned text table or CSV (via common/table) and to

@@ -99,12 +99,6 @@ Session::Session(EngineRegistry engines, WorkloadRegistry workloads,
 {
 }
 
-RequestBuilder
-Session::request() const
-{
-    return RequestBuilder(engines_, workloads_);
-}
-
 JobBuilder
 Session::job() const
 {
@@ -471,22 +465,18 @@ figure13Grid(const Session &session,
                 const auto config = session.engines().find(engine);
                 VEGETA_ASSERT(config.has_value(),
                               "unregistered engine ", engine);
-                auto base = session.request()
-                                .workload(workload)
-                                .engine(engine)
-                                .pattern(pattern);
-                auto no_of = base;
-                const auto request =
-                    no_of.outputForwarding(false).build();
-                VEGETA_ASSERT(request.has_value(), "bad grid request: ",
-                              no_of.error());
-                grid.push_back(*request);
-                if (config->sparse) {
-                    const auto of_request =
-                        base.outputForwarding(true).build();
-                    VEGETA_ASSERT(of_request.has_value(),
-                                  "bad grid request: ", base.error());
-                    grid.push_back(*of_request);
+                for (const bool of : {false, true}) {
+                    if (of && !config->sparse)
+                        break;
+                    auto builder = session.job()
+                                       .workload(workload)
+                                       .engine(engine)
+                                       .pattern(pattern)
+                                       .outputForwarding(of);
+                    const auto job = builder.build();
+                    VEGETA_ASSERT(job.has_value(), "bad grid request: ",
+                                  builder.error());
+                    grid.push_back(job->simulation);
                 }
             }
         }
@@ -511,15 +501,15 @@ geomeanSpeedup(const Session &session,
     for (const bool test : {false, true}) {
         for (const auto &workload : workload_names) {
             auto builder =
-                session.request()
+                session.job()
                     .workload(workload)
                     .engine(test ? engine_name : baseline_name)
                     .pattern(layer_n)
                     .outputForwarding(test && output_forwarding);
-            const auto request = builder.build();
-            VEGETA_ASSERT(request.has_value(),
-                          "bad speedup request: ", builder.error());
-            requests.push_back(*request);
+            const auto job = builder.build();
+            VEGETA_ASSERT(job.has_value(), "bad speedup request: ",
+                          builder.error());
+            requests.push_back(job->simulation);
         }
     }
 

@@ -9,8 +9,7 @@
  * results.  It speaks two levels of API:
  *
  *  - the typed pair level (SimulationRequest -> SimulationResult,
- *    AnalyticalRequest -> AnalyticalResult) kept from the original
- *    Simulator facade, and
+ *    AnalyticalRequest -> AnalyticalResult), and
  *  - the polymorphic Job level: a Job is a tagged variant of the two,
  *    runBatch() executes mixed job vectors on a thread pool with
  *    canonical-key dedupe, and the output is bit-for-bit identical
@@ -21,9 +20,8 @@
  * workers each run their own Session.
  *
  * Everything above this layer (CLI, benches, sweeps) speaks only jobs
- * or request/result pairs; nothing above it wires engines, workloads,
- * or kernels by hand.  `Simulator` and `SweepRunner` remain as thin
- * deprecated shims over this class.
+ * or request/result pairs, built by job(); nothing above it wires
+ * engines, workloads, or kernels by hand.
  */
 
 #ifndef VEGETA_SIM_SESSION_HPP
@@ -73,9 +71,6 @@ class Session
     const EngineRegistry &engines() const { return engines_; }
     const WorkloadRegistry &workloads() const { return workloads_; }
     const AnalyticalRegistry &analytics() const { return analytics_; }
-
-    /** A request builder bound to this session's registries. */
-    RequestBuilder request() const;
 
     /** A job builder bound to this session's registries. */
     JobBuilder job() const;

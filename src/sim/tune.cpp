@@ -54,17 +54,17 @@ calibrationGroup(const TunePoint &point)
 SimulationRequest
 requestFor(const Session &session, const TunePoint &point)
 {
-    auto builder = session.request();
-    auto request = builder.workload(point.workload)
+    auto builder = session.job()
+                       .workload(point.workload)
                        .engine(point.engine)
                        .pattern(point.patternN)
                        .outputForwarding(point.outputForwarding)
                        .kernel(point.kernel)
-                       .cBlocking(point.cBlocking)
-                       .build();
-    VEGETA_ASSERT(request.has_value(), "tuner replayed invalid point: %s",
+                       .cBlocking(point.cBlocking);
+    auto job = builder.build();
+    VEGETA_ASSERT(job.has_value(), "tuner replayed invalid point: %s",
                   builder.error().c_str());
-    return *request;
+    return std::move(job->simulation);
 }
 
 /** The measured Pareto front: ascending area, strictly better speed. */
@@ -137,12 +137,9 @@ Tuner::Tuner(const Session &session, TuneOptions options)
 }
 
 std::vector<TuneCandidate>
-Tuner::scoreCandidates(const TuneSpace &space,
-                       const std::vector<TunePoint> &valid,
+Tuner::scoreCandidates(const std::vector<TunePoint> &valid,
                        u64 analysis_cap, TuneReport &report) const
 {
-    (void)space;
-
     // Train the optional cost model off the persistent cache once per
     // search.  Below the sample threshold the prefilter rules alone.
     std::optional<CostModel> model;
@@ -161,37 +158,28 @@ Tuner::scoreCandidates(const TuneSpace &space,
     for (const auto &point : valid) {
         if (scored.size() >= analysis_cap)
             break;
-        AnalyticalRequest request;
-        request.model = "tune-prefilter";
-        request.workloads = {point.workload};
-        request.engines = {point.engine};
-        request.params["pattern"] = double(point.patternN);
-        request.params["of"] = point.outputForwarding ? 1.0 : 0.0;
-        request.params["cblocking"] = double(point.cBlocking);
-        request.options["kernel"] = kernelVariantName(point.kernel);
-        const AnalyticalResult result = session_.analyze(request);
-        VEGETA_ASSERT(result.rows.size() == 1,
-                      "tune-prefilter returned %zu rows for one point",
-                      result.rows.size());
+        // The estimator itself, not the "tune-prefilter" backend that
+        // serves `analyze`: a scored point is no analysis to count or
+        // to persist in the disk cache.
+        const auto workload = session_.workloads().find(point.workload);
+        const auto engine = session_.engines().find(point.engine);
+        VEGETA_ASSERT(workload && engine,
+                      "scored point lost its registry entries");
+        const bool naive = point.kernel == KernelVariant::Naive;
+        const PrefilterEstimate est = prefilterEstimate(
+            workload->gemm, *engine, point.patternN,
+            point.outputForwarding, naive, point.cBlocking);
 
         TuneCandidate candidate;
         candidate.point = point;
-        candidate.estCyclesPerMac =
-            result.number(0, "est_cycles_per_mac");
-        candidate.areaUnits = result.number(0, "area_units");
-        candidate.predictedCyclesPerMac = candidate.estCyclesPerMac;
+        candidate.estCyclesPerMac = est.estCyclesPerMac;
+        candidate.areaUnits = est.areaUnits;
+        candidate.predictedCyclesPerMac = est.estCyclesPerMac;
 
         if (model) {
-            const auto workload =
-                session_.workloads().find(point.workload);
-            const auto engine = session_.engines().find(point.engine);
-            VEGETA_ASSERT(workload && engine,
-                          "scored point lost its registry entries");
             const auto x = CostModel::features(
                 workload->gemm, *engine, point.patternN,
-                point.outputForwarding,
-                point.kernel == KernelVariant::Naive,
-                point.cBlocking);
+                point.outputForwarding, naive, point.cBlocking);
             candidate.predictedCyclesPerMac =
                 std::exp2(model->predictLog2Cycles(x)) /
                 double(workload->gemm.macs());
@@ -311,9 +299,9 @@ Tuner::run(const TuneSpace &space) const
         pool.reserve(picks.size());
         for (u32 index : picks)
             pool.push_back(valid[index]);
-        scored = scoreCandidates(space, pool, analysis_cap, report);
+        scored = scoreCandidates(pool, analysis_cap, report);
     } else {
-        scored = scoreCandidates(space, valid, analysis_cap, report);
+        scored = scoreCandidates(valid, analysis_cap, report);
     }
     analyze_span.close();
     const u64 analyze_ns = telemetry::nowNs() - analyze_start;

@@ -9,12 +9,12 @@
  *  1. validity -- every raw point of the TuneSpace passes the cheap
  *     structural predicates of sim/tune_space.hpp; infeasible points
  *     are rejected with a reason and cost a few integer checks.
- *  2. analytical prefilter -- surviving points are scored through the
- *     registered "tune-prefilter" analytical backend (the closed-form
- *     estimator of sim/tune_space.hpp) and ranked by estimated cycles
- *     per MAC.  When a persistent cache holds enough prior
- *     simulations (sim/cost_model.hpp), a ridge cost model trained on
- *     those records re-ranks the estimates.
+ *  2. analytical prefilter -- surviving points are scored by the
+ *     closed-form prefilterEstimate() of sim/tune_space.hpp (the same
+ *     function the "tune-prefilter" backend serves to `analyze`) and
+ *     ranked by estimated cycles per MAC.  When a persistent cache
+ *     holds enough prior simulations (sim/cost_model.hpp), a ridge
+ *     cost model trained on those records re-ranks the estimates.
  *  3. replay confirmation -- only the top-ranked points, strictly
  *     bounded by TuneBudget::replays, run the real cycle model via
  *     Session::runBatch (inheriting thread pooling and both caches) or
@@ -184,8 +184,7 @@ class Tuner
 
   private:
     std::vector<TuneCandidate>
-    scoreCandidates(const TuneSpace &space,
-                    const std::vector<TunePoint> &valid,
+    scoreCandidates(const std::vector<TunePoint> &valid,
                     u64 analysis_cap, TuneReport &report) const;
 
     void replayCandidates(std::vector<TuneCandidate *> &picks) const;

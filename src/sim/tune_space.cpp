@@ -12,12 +12,13 @@ namespace vegeta::sim {
 std::string
 tunePointKey(const TunePoint &point)
 {
-    std::ostringstream key;
-    key << point.workload << '|' << point.engine << '|'
-        << point.patternN << '|' << (point.outputForwarding ? 1 : 0)
-        << '|' << kernelVariantName(point.kernel) << '|'
-        << point.cBlocking;
-    return key.str();
+    // Concatenation, not a stream: the validity stage sorts every
+    // valid point by this key.
+    return point.workload + '|' + point.engine + '|' +
+           std::to_string(point.patternN) + '|' +
+           (point.outputForwarding ? '1' : '0') + '|' +
+           kernelVariantName(point.kernel) + '|' +
+           std::to_string(point.cBlocking);
 }
 
 u64

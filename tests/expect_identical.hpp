@@ -4,7 +4,7 @@
  *
  * Several suites pin the facade's determinism guarantee -- equal
  * inputs produce bit-for-bit equal results across threads, caches,
- * processes, and shims -- and they must all compare EVERY field, so
+ * and processes -- and they must all compare EVERY field, so
  * the field lists live here once: a new SimulationResult or
  * AnalyticalCell field only needs to be added in this header for all
  * of them to start asserting it.

@@ -14,7 +14,7 @@
 #include "kernels/network.hpp"
 #include "model/dynamic_sparsity.hpp"
 #include "model/vector_vs_matrix.hpp"
-#include "sim/simulator.hpp"
+#include "sim/session.hpp"
 
 namespace vegeta::sim {
 namespace {
@@ -37,11 +37,11 @@ TEST(AnalyticalRegistry, BuiltinModelsRegistered)
 TEST(AnalyticalRegistry, AddReplacesByName)
 {
     AnalyticalRegistry registry;
-    registry.add("m", "first", [](const Simulator &,
+    registry.add("m", "first", [](const Session &,
                                   const AnalyticalRequest &) {
         return AnalyticalResult{};
     });
-    registry.add("m", "second", [](const Simulator &,
+    registry.add("m", "second", [](const Session &,
                                    const AnalyticalRequest &) {
         return AnalyticalResult{};
     });
@@ -51,35 +51,35 @@ TEST(AnalyticalRegistry, AddReplacesByName)
 
 TEST(Analytical, RequestValidation)
 {
-    const Simulator simulator;
+    const Session session;
 
     AnalyticalRequest request;
     request.model = "no-such-model";
-    auto error = simulator.analyzeError(request);
+    auto error = session.analyzeError(request);
     ASSERT_TRUE(error.has_value());
     EXPECT_NE(error->find("no-such-model"), std::string::npos);
 
     request.model = "fig10-pipelining";
     request.engines = {"NOT-AN-ENGINE"};
-    error = simulator.analyzeError(request);
+    error = session.analyzeError(request);
     ASSERT_TRUE(error.has_value());
     EXPECT_NE(error->find("NOT-AN-ENGINE"), std::string::npos);
 
     request.engines = {"VEGETA-S-16-2"};
     request.workloads = {"NOT-A-WORKLOAD"};
-    error = simulator.analyzeError(request);
+    error = session.analyzeError(request);
     ASSERT_TRUE(error.has_value());
 
     request.workloads = {"BERT-L1"};
-    EXPECT_FALSE(simulator.analyzeError(request).has_value());
+    EXPECT_FALSE(session.analyzeError(request).has_value());
 }
 
 TEST(Analytical, VectorVsMatrixMatchesDirectModel)
 {
-    const Simulator simulator;
+    const Session session;
     AnalyticalRequest request;
     request.model = "fig4-vector-vs-matrix";
-    const auto result = simulator.analyze(request);
+    const auto result = session.analyze(request);
 
     const auto direct = model::figure4Series({32, 64, 128});
     ASSERT_EQ(result.rows.size(), direct.size());
@@ -94,10 +94,10 @@ TEST(Analytical, VectorVsMatrixMatchesDirectModel)
 
 TEST(Analytical, AreaPowerMatchesDirectModel)
 {
-    const Simulator simulator;
+    const Session session;
     AnalyticalRequest request;
     request.model = "fig14-area-power";
-    const auto result = simulator.analyze(request);
+    const auto result = session.analyze(request);
 
     const auto direct =
         engine::figure14Series(engine::allTableIIIConfigs());
@@ -111,20 +111,20 @@ TEST(Analytical, AreaPowerMatchesDirectModel)
     }
     // Explicit engine selection narrows the series.
     request.engines = {"VEGETA-S-16-2"};
-    const auto narrowed = simulator.analyze(request);
+    const auto narrowed = session.analyze(request);
     ASSERT_EQ(narrowed.rows.size(), 1u);
     EXPECT_EQ(narrowed.text(0, "engine"), "VEGETA-S-16-2");
 }
 
 TEST(Analytical, PipeliningMatchesDirectSchedule)
 {
-    const Simulator simulator;
+    const Session session;
     AnalyticalRequest request;
     request.model = "fig10-pipelining";
     request.engines = {"VEGETA-S-16-2"};
     request.params["dependent"] = 1;
     request.params["output_forwarding"] = 1;
-    const auto result = simulator.analyze(request);
+    const auto result = session.analyze(request);
     ASSERT_EQ(result.rows.size(), 4u);
 
     engine::PipelineModel model(engine::vegetaS162(), true);
@@ -140,12 +140,12 @@ TEST(Analytical, PipeliningMatchesDirectSchedule)
 
 TEST(Analytical, UnstructuredDegreeParamNarrowsSeries)
 {
-    const Simulator simulator;
+    const Session session;
     AnalyticalRequest request;
     request.model = "fig15-unstructured";
     request.workloads = {"BERT-L1", "BERT-L2"};
     request.params["degree"] = 0.95;
-    const auto result = simulator.analyze(request);
+    const auto result = session.analyze(request);
     ASSERT_EQ(result.rows.size(), 1u);
     EXPECT_EQ(result.number(0, "degree_%"), 95.0);
     EXPECT_GT(result.number(0, "row-wise"), 1.0);
@@ -153,14 +153,14 @@ TEST(Analytical, UnstructuredDegreeParamNarrowsSeries)
 
 TEST(Analytical, BlockSizeBackendsProduceTradeoff)
 {
-    const Simulator simulator;
+    const Session session;
 
     AnalyticalRequest coverage;
     coverage.model = "blocksize-coverage";
     coverage.params["trials"] = 1;
     coverage.params["rows"] = 32;
     coverage.params["cols"] = 256;
-    const auto cov = simulator.analyze(coverage);
+    const auto cov = session.analyze(coverage);
     ASSERT_EQ(cov.rows.size(), 4u);
     // Larger M covers at least as tightly at every degree.
     for (std::size_t i = 0; i < cov.rows.size(); ++i)
@@ -168,7 +168,7 @@ TEST(Analytical, BlockSizeBackendsProduceTradeoff)
 
     AnalyticalRequest hardware;
     hardware.model = "blocksize-hardware";
-    const auto hw = simulator.analyze(hardware);
+    const auto hw = session.analyze(hardware);
     ASSERT_EQ(hw.rows.size(), 3u);
     // ...but costs monotonically more area.
     EXPECT_LT(hw.number(0, "norm_area"), hw.number(1, "norm_area"));
@@ -196,16 +196,16 @@ TEST(Analytical, ResultCellAccessorsAndTable)
 
 TEST(Analytical, NetworkPolicyMatchesDirectModel)
 {
-    const Simulator simulator;
+    const Session session;
     AnalyticalRequest request;
     request.model = "network-policy";
     request.options["network"] = "resnet-front";
     request.engines = {"VEGETA-S-16-2"};
-    const auto result = simulator.analyze(request);
+    const auto result = session.analyze(request);
     ASSERT_EQ(result.rows.size(), 1u);
 
     const auto net = kernels::resnetFrontNetwork();
-    const auto config = simulator.engines().find("VEGETA-S-16-2");
+    const auto config = session.engines().find("VEGETA-S-16-2");
     const auto lw = kernels::simulateNetwork(
         net, *config, kernels::NetworkPolicy::LayerWise);
     const auto nw = kernels::simulateNetwork(
@@ -220,13 +220,13 @@ TEST(Analytical, NetworkPolicyMatchesDirectModel)
 
 TEST(Analytical, DynamicSparsityMatchesDirectModel)
 {
-    const Simulator simulator;
+    const Session session;
     AnalyticalRequest request;
     request.model = "dynamic-sparsity";
     request.params["registers"] = 16;
     request.params["trials"] = 64;
     request.params["density"] = 0.2;
-    const auto result = simulator.analyze(request);
+    const auto result = session.analyze(request);
     ASSERT_EQ(result.rows.size(), 1u);
     EXPECT_EQ(result.number(0, "density_%"), 20.0);
 
@@ -269,10 +269,10 @@ TEST(Analytical, JsonAndCsvWritersAreWellFormedEnough)
 
 TEST(Analytical, RooflineShapeChecks)
 {
-    const Simulator simulator;
+    const Session session;
     AnalyticalRequest request;
     request.model = "fig3-roofline";
-    const auto result = simulator.analyze(request);
+    const auto result = session.analyze(request);
     ASSERT_GT(result.rows.size(), 0u);
 
     const std::size_t last = result.rows.size() - 1;

@@ -517,21 +517,22 @@ TEST(DiskCache, TraceOutRunsStillWarmTheCache)
 
     Session first;
     first.attachDiskCache(dir);
-    const auto request = first.request()
-                             .gemm(kernels::GemmDims{32, 32, 128})
-                             .engine("VEGETA-S-2-2")
-                             .pattern(2)
-                             .build();
-    ASSERT_TRUE(request.has_value());
+    const auto job = first.job()
+                         .gemm(kernels::GemmDims{32, 32, 128})
+                         .engine("VEGETA-S-2-2")
+                         .pattern(2)
+                         .build();
+    ASSERT_TRUE(job.has_value());
+    const SimulationRequest &request = job->simulation;
     cpu::TraceCollector trace;
-    const auto with_trace = first.run(*request, &trace);
+    const auto with_trace = first.run(request, &trace);
     EXPECT_FALSE(trace.trace().empty());
 
     // The trace-saving run paid the generation pass, but its result
     // still landed in the persistent cache.
     Session second;
     second.attachDiskCache(dir);
-    const auto warm = second.run(*request);
+    const auto warm = second.run(request);
     expectIdenticalSim(warm, with_trace);
     EXPECT_EQ(second.simulationsPerformed(), 0u);
 }
@@ -542,20 +543,21 @@ TEST(DiskCache, TwoSequentialSessionsShareResults)
 
     Session first;
     first.attachDiskCache(dir);
-    const auto request = first.request()
-                             .gemm(kernels::GemmDims{32, 32, 128})
-                             .engine("VEGETA-S-2-2")
-                             .pattern(2)
-                             .build();
-    ASSERT_TRUE(request.has_value());
-    const auto cold = first.run(*request);
+    const auto job = first.job()
+                         .gemm(kernels::GemmDims{32, 32, 128})
+                         .engine("VEGETA-S-2-2")
+                         .pattern(2)
+                         .build();
+    ASSERT_TRUE(job.has_value());
+    const SimulationRequest &request = job->simulation;
+    const auto cold = first.run(request);
     EXPECT_EQ(first.simulationsPerformed(), 1u);
 
     // A second Session (a "second process") on the same directory
     // serves the request from disk without simulating anything.
     Session second;
     second.attachDiskCache(dir);
-    const auto warm = second.run(*request);
+    const auto warm = second.run(request);
     expectIdenticalSim(warm, cold);
     EXPECT_EQ(second.simulationsPerformed(), 0u);
     EXPECT_EQ(second.diskCache()->stats().hits, 1u);

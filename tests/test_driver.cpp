@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "kernels/driver.hpp"
+#include "sim/session.hpp"
 
 namespace vegeta::kernels {
 namespace {
@@ -18,6 +19,17 @@ quick()
     w.name = "quick";
     w.gemm = {64, 64, 512};
     return w;
+}
+
+/** RASA-DM cycles over VEGETA-S-16-2+OF cycles at one pattern. */
+double
+speedupVsDense(u32 layer_n)
+{
+    const auto base =
+        simulateLayer(quick(), layer_n, engine::vegetaD12(), false);
+    const auto test =
+        simulateLayer(quick(), layer_n, engine::vegetaS162(), true);
+    return double(base.coreCycles) / double(test.coreCycles);
 }
 
 TEST(Driver, DenseEngineIgnoresSparsity)
@@ -79,13 +91,9 @@ TEST(Driver, OutputForwardingHelpsDependentStreams)
 TEST(Driver, SpeedupOrderingAcrossPatterns)
 {
     // Headline shape: 4:4 ~1x, 2:4 ~2x, 1:4 ~3-4x vs RASA-DM.
-    const std::vector<Workload> ws{quick()};
-    const double s44 = geomeanSpeedupVsDenseBaseline(
-        ws, 4, engine::vegetaS162(), true);
-    const double s24 = geomeanSpeedupVsDenseBaseline(
-        ws, 2, engine::vegetaS162(), true);
-    const double s14 = geomeanSpeedupVsDenseBaseline(
-        ws, 1, engine::vegetaS162(), true);
+    const double s44 = speedupVsDense(4);
+    const double s24 = speedupVsDense(2);
+    const double s14 = speedupVsDense(1);
     EXPECT_GT(s44, 0.9);
     EXPECT_GT(s24, 1.5);
     EXPECT_GT(s14, s24);
@@ -94,13 +102,18 @@ TEST(Driver, SpeedupOrderingAcrossPatterns)
 
 TEST(Driver, SweepCoversAllCombinations)
 {
-    const std::vector<Workload> ws{quick()};
-    const std::vector<engine::EngineConfig> engines{
-        engine::vegetaD12(), engine::vegetaS162()};
-    const auto ms = figure13Sweep(ws, engines, {4, 2});
+    sim::WorkloadRegistry workloads;
+    workloads.add(quick(), "sweep");
+    sim::EngineRegistry engines;
+    engines.add(engine::vegetaD12());
+    engines.add(engine::vegetaS162());
+    const sim::Session session(std::move(engines),
+                               std::move(workloads));
+    const auto grid = sim::figure13Grid(
+        session, {"quick"}, {"VEGETA-D-1-2", "VEGETA-S-16-2"}, {4, 2});
     // Per (workload, pattern): dense 1 run, sparse 2 runs (OF off/on).
-    EXPECT_EQ(ms.size(), 1u * 2 * (1 + 2));
-    for (const auto &m : ms) {
+    ASSERT_EQ(grid.size(), 1u * 2 * (1 + 2));
+    for (const auto &m : session.runBatch(grid, 2)) {
         EXPECT_GT(m.coreCycles, 0u);
         EXPECT_GT(m.instructions, 0u);
     }

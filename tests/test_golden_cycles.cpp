@@ -17,7 +17,6 @@
 #include <set>
 
 #include "sim/session.hpp"
-#include "sim/simulator.hpp"
 #include "sim/telemetry.hpp"
 
 namespace vegeta::sim {
@@ -92,21 +91,29 @@ const GoldenPoint kGolden[] = {
 };
 // clang-format on
 
+/** The simulation request of one golden point. */
+SimulationRequest
+goldenRequest(const Session &session, const GoldenPoint &g)
+{
+    auto builder = session.job()
+                       .gemm(g.dims)
+                       .engine(g.engine)
+                       .pattern(g.patternN)
+                       .outputForwarding(g.outputForwarding);
+    const auto job = builder.build();
+    EXPECT_TRUE(job.has_value()) << builder.error();
+    return job.value().simulation;
+}
+
 TEST(GoldenCycles, MatrixIsBitIdenticalToPreRefactorModel)
 {
-    const Simulator simulator;
+    const Session session;
     for (const GoldenPoint &g : kGolden) {
         SCOPED_TRACE(std::string(g.engine) + " / " + g.workload +
                      " N=" + std::to_string(g.patternN) +
                      (g.outputForwarding ? " +OF" : ""));
-        auto request = simulator.request()
-                           .gemm(g.dims)
-                           .engine(g.engine)
-                           .pattern(g.patternN)
-                           .outputForwarding(g.outputForwarding)
-                           .build();
-        ASSERT_TRUE(request.has_value());
-        const SimulationResult result = simulator.run(*request);
+        const SimulationResult result =
+            session.run(goldenRequest(session, g));
         EXPECT_EQ(result.coreCycles, g.coreCycles);
         EXPECT_EQ(result.instructions, g.instructions);
         EXPECT_EQ(result.engineInstructions, g.engineInstructions);
@@ -121,15 +128,15 @@ TEST(GoldenCycles, NaiveKernelPoint)
 {
     // Listing-1 kernel variant (C through memory inside the k loop),
     // captured from the same pre-refactor model.
-    const Simulator simulator;
-    auto request = simulator.request()
-                       .gemm(kernels::GemmDims{32, 32, 128})
-                       .engine("VEGETA-S-16-2")
-                       .pattern(2)
-                       .kernel(KernelVariant::Naive)
-                       .build();
-    ASSERT_TRUE(request.has_value());
-    const SimulationResult result = simulator.run(*request);
+    const Session session;
+    const auto job = session.job()
+                         .gemm(kernels::GemmDims{32, 32, 128})
+                         .engine("VEGETA-S-16-2")
+                         .pattern(2)
+                         .kernel(KernelVariant::Naive)
+                         .build();
+    ASSERT_TRUE(job.has_value());
+    const SimulationResult result = session.run(job->simulation);
     EXPECT_EQ(result.coreCycles, 2027u);
     EXPECT_EQ(result.instructions, 245u);
     EXPECT_EQ(result.cacheHits, 396u);
@@ -141,20 +148,14 @@ TEST(GoldenCycles, BatchReplayMatchesStreamingRun)
 {
     // The facade's streaming path and a batch replay of the same
     // generated trace must agree on every golden point measurement.
-    const Simulator simulator;
+    const Session session;
     const GoldenPoint &g = kGolden[20]; // S-16-2, quick-square, N=2
-    auto request = simulator.request()
-                       .gemm(g.dims)
-                       .engine(g.engine)
-                       .pattern(g.patternN)
-                       .outputForwarding(g.outputForwarding)
-                       .build();
-    ASSERT_TRUE(request.has_value());
+    const auto request = goldenRequest(session, g);
     cpu::TraceCollector trace;
-    simulator.run(*request, &trace); // teed run, trace captured
-    const SimulationResult streamed = simulator.run(*request);
+    session.run(request, &trace); // teed run, trace captured
+    const SimulationResult streamed = session.run(request);
     const SimulationResult replayed =
-        simulator.replay(trace.trace(), *request).result;
+        session.replay(trace.trace(), request).result;
     EXPECT_EQ(replayed.coreCycles, g.coreCycles);
     EXPECT_EQ(streamed.coreCycles, replayed.coreCycles);
     EXPECT_EQ(streamed.cacheHits, replayed.cacheHits);
@@ -173,16 +174,8 @@ TEST(GoldenCycles, MatrixIsBitIdenticalWithTracingEnabled)
     const telemetry::MetricsSnapshot before = telemetry::snapshot();
     std::vector<SimulationRequest> requests;
     const Session session;
-    for (const GoldenPoint &g : kGolden) {
-        auto request = session.request()
-                           .gemm(g.dims)
-                           .engine(g.engine)
-                           .pattern(g.patternN)
-                           .outputForwarding(g.outputForwarding)
-                           .build();
-        ASSERT_TRUE(request.has_value());
-        requests.push_back(*request);
-    }
+    for (const GoldenPoint &g : kGolden)
+        requests.push_back(goldenRequest(session, g));
     const auto results = session.runBatch(requests, 2);
     telemetry::setTraceEnabled(false);
     const telemetry::MetricsSnapshot after = telemetry::snapshot();
@@ -225,16 +218,8 @@ TEST(GoldenCycles, BatchIsThreadCountIndependent)
     // Any worker-thread count is bit-identical to the serial batch.
     std::vector<SimulationRequest> requests;
     const Session builder;
-    for (const GoldenPoint &g : kGolden) {
-        auto request = builder.request()
-                           .gemm(g.dims)
-                           .engine(g.engine)
-                           .pattern(g.patternN)
-                           .outputForwarding(g.outputForwarding)
-                           .build();
-        ASSERT_TRUE(request.has_value());
-        requests.push_back(*request);
-    }
+    for (const GoldenPoint &g : kGolden)
+        requests.push_back(goldenRequest(builder, g));
     const auto baseline = Session{}.runBatch(requests, 1);
     const auto threaded = Session{}.runBatch(requests, 3);
     ASSERT_EQ(threaded.size(), baseline.size());

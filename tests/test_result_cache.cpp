@@ -8,48 +8,31 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/sweep.hpp"
+#include "expect_identical.hpp"
+#include "sim/session.hpp"
 
 namespace vegeta::sim {
 namespace {
 
-void
-expectIdentical(const SimulationResult &a, const SimulationResult &b)
-{
-    EXPECT_EQ(a.workload, b.workload);
-    EXPECT_EQ(a.engine, b.engine);
-    EXPECT_EQ(a.layerN, b.layerN);
-    EXPECT_EQ(a.executedN, b.executedN);
-    EXPECT_EQ(a.outputForwarding, b.outputForwarding);
-    EXPECT_EQ(a.kernel, b.kernel);
-    EXPECT_EQ(a.coreCycles, b.coreCycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.engineInstructions, b.engineInstructions);
-    EXPECT_EQ(a.tileComputes, b.tileComputes);
-    EXPECT_EQ(a.macUtilization, b.macUtilization);
-    EXPECT_EQ(a.cacheHits, b.cacheHits);
-    EXPECT_EQ(a.cacheMisses, b.cacheMisses);
-}
-
 SimulationRequest
-smallRequest(const Simulator &simulator, const std::string &engine,
+smallRequest(const Session &session, const std::string &engine,
              u32 pattern, bool of)
 {
-    auto builder = simulator.request()
+    auto builder = session.job()
                        .gemm(kernels::GemmDims{32, 32, 128})
                        .engine(engine)
                        .pattern(pattern)
                        .outputForwarding(of);
-    const auto request = builder.build();
-    EXPECT_TRUE(request.has_value()) << builder.error();
-    return *request;
+    const auto job = builder.build();
+    EXPECT_TRUE(job.has_value()) << builder.error();
+    return job->simulation;
 }
 
 TEST(CacheKey, DistinguishesEveryRequestField)
 {
-    const Simulator simulator;
+    const Session session;
     const SimulationRequest base =
-        smallRequest(simulator, "VEGETA-S-16-2", 2, false);
+        smallRequest(session, "VEGETA-S-16-2", 2, false);
 
     SimulationRequest other = base;
     EXPECT_EQ(cacheKey(base), cacheKey(other));
@@ -128,8 +111,8 @@ TEST(ResultCache, FindInsertAndStats)
 
 TEST(ResultCache, CachedRunsAreBitIdentical)
 {
-    Simulator uncached;
-    Simulator cached;
+    Session uncached;
+    Session cached;
     const auto stats_cache = cached.enableCache();
 
     const SimulationRequest request =
@@ -138,42 +121,42 @@ TEST(ResultCache, CachedRunsAreBitIdentical)
     const auto second = cached.run(request); // cache hit
     const auto reference = uncached.run(request);
 
-    expectIdentical(first, reference);
-    expectIdentical(second, reference);
+    expectIdenticalSim(first, reference);
+    expectIdenticalSim(second, reference);
     EXPECT_EQ(stats_cache->stats().insertions, 1u);
     EXPECT_EQ(stats_cache->stats().hits, 1u);
 }
 
 TEST(ResultCache, TraceOutBypassesCacheButStaysIdentical)
 {
-    Simulator simulator;
-    simulator.enableCache();
+    Session session;
+    session.enableCache();
     const SimulationRequest request =
-        smallRequest(simulator, "VEGETA-S-2-2", 2, false);
+        smallRequest(session, "VEGETA-S-2-2", 2, false);
 
-    const auto cached = simulator.run(request); // populates cache
+    const auto cached = session.run(request); // populates cache
     cpu::TraceCollector trace;
-    const auto with_trace = simulator.run(request, &trace);
-    expectIdentical(cached, with_trace);
+    const auto with_trace = session.run(request, &trace);
+    expectIdenticalSim(cached, with_trace);
     EXPECT_FALSE(trace.trace().empty());
 }
 
 TEST(SweepDedupe, DuplicateRequestsSimulateOnce)
 {
-    Simulator simulator;
-    const auto cache = simulator.enableCache();
+    Session session;
+    const auto cache = session.enableCache();
 
     // 3 unique requests, each repeated 3 times, shuffled.
     const SimulationRequest a =
-        smallRequest(simulator, "VEGETA-D-1-2", 4, false);
+        smallRequest(session, "VEGETA-D-1-2", 4, false);
     const SimulationRequest b =
-        smallRequest(simulator, "VEGETA-S-2-2", 2, false);
+        smallRequest(session, "VEGETA-S-2-2", 2, false);
     const SimulationRequest c =
-        smallRequest(simulator, "VEGETA-S-2-2", 2, true);
+        smallRequest(session, "VEGETA-S-2-2", 2, true);
     const std::vector<SimulationRequest> batch{a, b, c, c, a, b,
                                               b, c, a};
 
-    const auto results = SweepRunner(simulator, 4).run(batch);
+    const auto results = session.runBatch(batch, 4);
     ASSERT_EQ(results.size(), batch.size());
 
     // Each unique request ran exactly once...
@@ -181,54 +164,53 @@ TEST(SweepDedupe, DuplicateRequestsSimulateOnce)
     EXPECT_EQ(cache->stats().misses, 3u);
 
     // ...and duplicate slots carry the identical result.
-    Simulator reference;
+    Session reference;
     for (std::size_t i = 0; i < batch.size(); ++i)
-        expectIdentical(results[i], reference.run(batch[i]));
+        expectIdenticalSim(results[i], reference.run(batch[i]));
 }
 
 TEST(SweepDedupe, CacheOnOffAndThreadCountsBitIdentical)
 {
-    const Simulator simulator;
+    const Session session;
     std::vector<SimulationRequest> batch;
     for (const char *engine :
          {"VEGETA-D-1-2", "VEGETA-S-1-2", "VEGETA-S-16-2"}) {
         for (u32 pattern : {4u, 2u, 1u}) {
             batch.push_back(
-                smallRequest(simulator, engine, pattern, false));
+                smallRequest(session, engine, pattern, false));
             // Repeat a subset so the dedupe path is exercised.
             if (pattern == 2)
                 batch.push_back(
-                    smallRequest(simulator, engine, pattern, false));
+                    smallRequest(session, engine, pattern, false));
         }
     }
 
-    const auto reference = SweepRunner(simulator, 1).run(batch);
+    const auto reference = session.runBatch(batch, 1);
 
-    Simulator cached_sim;
+    Session cached_sim;
     cached_sim.enableCache();
     for (const u32 threads : {1u, 4u}) {
-        const auto plain = SweepRunner(simulator, threads).run(batch);
-        const auto cached =
-            SweepRunner(cached_sim, threads).run(batch);
+        const auto plain = session.runBatch(batch, threads);
+        const auto cached = cached_sim.runBatch(batch, threads);
         ASSERT_EQ(plain.size(), reference.size());
         for (std::size_t i = 0; i < reference.size(); ++i) {
-            expectIdentical(plain[i], reference[i]);
-            expectIdentical(cached[i], reference[i]);
+            expectIdenticalSim(plain[i], reference[i]);
+            expectIdenticalSim(cached[i], reference[i]);
         }
     }
 }
 
-TEST(SweepDedupe, GeomeanSpeedupMatchesCachedSimulator)
+TEST(SweepDedupe, GeomeanSpeedupMatchesCachedSession)
 {
-    // geomeanSpeedup over a simulator with a warm cache must return
+    // geomeanSpeedup over a session with a warm cache must return
     // the exact same ratio as over a cold, uncached one.
     const std::vector<std::string> workloads{"BERT-L1"};
 
-    Simulator cold;
+    Session cold;
     const double uncached = geomeanSpeedup(
         cold, workloads, 2, "VEGETA-S-16-2", true, "VEGETA-D-1-2", 1);
 
-    Simulator warm;
+    Session warm;
     const auto cache = warm.enableCache();
     const double first = geomeanSpeedup(
         warm, workloads, 2, "VEGETA-S-16-2", true, "VEGETA-D-1-2", 2);

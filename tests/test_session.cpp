@@ -1,11 +1,11 @@
 /**
  * @file
- * Session/Job API tests: JobBuilder subsumes RequestBuilder
- * validation, job keys dedupe across kinds, and runBatch over a
- * MIXED trace+analytical job vector is bit-for-bit identical for 1
- * and N threads, with and without the in-memory and persistent
- * caches attached -- and a second batch against a warm on-disk cache
- * performs zero trace replays.
+ * Session/Job API tests: JobBuilder validation, job keys dedupe
+ * across kinds, and runBatch over a MIXED trace+analytical job
+ * vector is bit-for-bit identical for 1 and N threads, with and
+ * without the in-memory and persistent caches attached -- and a
+ * second batch against a warm on-disk cache performs zero trace
+ * replays.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,7 @@
 #include <filesystem>
 
 #include "expect_identical.hpp"
-#include "sim/sweep.hpp"
+#include "sim/session.hpp"
 
 namespace vegeta::sim {
 namespace {
@@ -78,7 +78,7 @@ mixedBatch(const Session &session)
 
 // --- JobBuilder validation -------------------------------------------
 
-TEST(JobBuilder, SimulationJobMatchesRequestBuilder)
+TEST(JobBuilder, BuildsValidSimulationJob)
 {
     const Session session;
     auto jb = session.job()
@@ -88,17 +88,12 @@ TEST(JobBuilder, SimulationJobMatchesRequestBuilder)
                   .outputForwarding(true);
     const auto job = jb.build();
     ASSERT_TRUE(job.has_value()) << jb.error();
+    EXPECT_TRUE(jb.error().empty());
     ASSERT_EQ(job->kind, JobKind::Simulation);
-
-    auto rb = session.request()
-                  .workload("BERT-L1")
-                  .engine("VEGETA-S-16-2")
-                  .pattern(2)
-                  .outputForwarding(true);
-    const auto request = rb.build();
-    ASSERT_TRUE(request.has_value());
-    // Same canonical key: the two builders describe identical work.
-    EXPECT_EQ(cacheKey(job->simulation), cacheKey(*request));
+    EXPECT_EQ(job->simulation.label, "BERT-L1");
+    EXPECT_EQ(job->simulation.engine, "VEGETA-S-16-2");
+    EXPECT_EQ(job->simulation.patternN, 2u);
+    EXPECT_TRUE(job->simulation.outputForwarding);
 }
 
 TEST(JobBuilder, RejectsUnknownNamesEagerly)
@@ -128,6 +123,33 @@ TEST(JobBuilder, RejectsUnknownNamesEagerly)
                      .pattern(3);
         EXPECT_FALSE(b.build().has_value());
         EXPECT_NE(b.error().find("pattern"), std::string::npos);
+    }
+    {
+        auto b = session.job()
+                     .workload("BERT-L1")
+                     .engine("VEGETA-S-16-2")
+                     .cBlocking(7);
+        EXPECT_FALSE(b.build().has_value());
+        EXPECT_NE(b.error().find("cBlocking"), std::string::npos);
+    }
+}
+
+TEST(JobBuilder, RejectsEmptyJobAndKeepsFirstError)
+{
+    const Session session;
+    {
+        auto b = session.job();
+        EXPECT_FALSE(b.build().has_value());
+        EXPECT_FALSE(b.error().empty());
+    }
+    {
+        auto b = session.job()
+                     .workload("NoSuchLayer")
+                     .engine("NOPE-9000")
+                     .pattern(3);
+        EXPECT_FALSE(b.build().has_value());
+        EXPECT_NE(b.error().find("unknown workload"),
+                  std::string::npos);
     }
 }
 
@@ -293,24 +315,26 @@ TEST(Session, WarmDiskCacheSkipsEveryTraceReplay)
     EXPECT_EQ(stats.hits, 6u);
 }
 
-TEST(Session, RequestOverloadMatchesSweepRunnerShim)
+TEST(Session, RequestOverloadMatchesJobBatch)
 {
     const Session session;
+    std::vector<Job> jobs;
     std::vector<SimulationRequest> requests;
     for (const char *engine : {"VEGETA-D-1-2", "VEGETA-S-2-2"}) {
-        const auto request = session.request()
-                                 .workload("quick-small")
-                                 .engine(engine)
-                                 .pattern(2)
-                                 .build();
-        ASSERT_TRUE(request.has_value());
-        requests.push_back(*request);
+        const auto job = session.job()
+                             .workload("quick-small")
+                             .engine(engine)
+                             .pattern(2)
+                             .build();
+        ASSERT_TRUE(job.has_value());
+        jobs.push_back(*job);
+        requests.push_back(job->simulation);
     }
     const auto direct = session.runBatch(requests, 2);
-    const auto shim = SweepRunner(session, 2).run(requests);
-    ASSERT_EQ(direct.size(), shim.size());
+    const auto batch = session.runBatch(jobs, 2);
+    ASSERT_EQ(direct.size(), batch.size());
     for (std::size_t i = 0; i < direct.size(); ++i)
-        expectIdenticalSim(direct[i], shim[i]);
+        expectIdenticalSim(direct[i], batch[i].simulation);
 }
 
 TEST(Session, JobErrorChecksBothKinds)

@@ -1,18 +1,20 @@
 /**
  * @file
- * Tests for the vegeta::sim facade: request validation, registry
- * round-trips, facade/primitive equivalence, sweep determinism, and
- * result serialization.
+ * Tests for the vegeta::sim facade: GEMM-spec parsing, registry
+ * round-trips, Session/primitive equivalence, batch determinism, and
+ * result serialization.  (JobBuilder validation lives in
+ * test_session.)
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 
 #include "cpu/trace_io.hpp"
 #include "expect_identical.hpp"
 #include "kernels/driver.hpp"
-#include "sim/sweep.hpp"
+#include "sim/session.hpp"
 
 namespace vegeta::sim {
 namespace {
@@ -47,6 +49,15 @@ traceBytes(const cpu::Trace &trace)
     return os.str();
 }
 
+/** The simulation request of a job that must build. */
+SimulationRequest
+requestOf(JobBuilder builder)
+{
+    const auto job = builder.build();
+    EXPECT_TRUE(job.has_value()) << builder.error();
+    return job ? job->simulation : SimulationRequest{};
+}
+
 // --- parseGemmSpec ----------------------------------------------------
 
 TEST(GemmSpec, ParsesWellFormed)
@@ -71,88 +82,6 @@ TEST(GemmSpec, RejectsMalformed)
     EXPECT_FALSE(parseGemmSpec("256x256").has_value());
     EXPECT_FALSE(parseGemmSpec("0x256x2048").has_value());
     EXPECT_FALSE(parseGemmSpec("ax bx c").has_value());
-}
-
-// --- RequestBuilder validation ---------------------------------------
-
-TEST(RequestBuilder, BuildsValidRequest)
-{
-    const Simulator simulator;
-    auto builder = simulator.request()
-                       .workload("BERT-L1")
-                       .engine("VEGETA-S-16-2")
-                       .pattern(2)
-                       .outputForwarding(true);
-    const auto request = builder.build();
-    ASSERT_TRUE(request.has_value());
-    EXPECT_EQ(request->label, "BERT-L1");
-    EXPECT_EQ(request->engine, "VEGETA-S-16-2");
-    EXPECT_EQ(request->patternN, 2u);
-    EXPECT_TRUE(request->outputForwarding);
-    EXPECT_TRUE(builder.error().empty());
-}
-
-TEST(RequestBuilder, RejectsUnknownEngine)
-{
-    const Simulator simulator;
-    auto builder =
-        simulator.request().workload("BERT-L1").engine("NOPE-9000");
-    EXPECT_FALSE(builder.build().has_value());
-    EXPECT_NE(builder.error().find("unknown engine"),
-              std::string::npos);
-}
-
-TEST(RequestBuilder, RejectsUnknownWorkload)
-{
-    const Simulator simulator;
-    auto builder =
-        simulator.request().workload("NoSuchLayer").engine(
-            "VEGETA-S-16-2");
-    EXPECT_FALSE(builder.build().has_value());
-    EXPECT_NE(builder.error().find("unknown workload"),
-              std::string::npos);
-}
-
-TEST(RequestBuilder, RejectsBadPattern)
-{
-    const Simulator simulator;
-    auto builder = simulator.request()
-                       .workload("BERT-L1")
-                       .engine("VEGETA-S-16-2")
-                       .pattern(3);
-    EXPECT_FALSE(builder.build().has_value());
-    EXPECT_NE(builder.error().find("pattern"), std::string::npos);
-}
-
-TEST(RequestBuilder, RejectsBadBlocking)
-{
-    const Simulator simulator;
-    auto builder = simulator.request()
-                       .workload("BERT-L1")
-                       .engine("VEGETA-S-16-2")
-                       .cBlocking(7);
-    EXPECT_FALSE(builder.build().has_value());
-    EXPECT_NE(builder.error().find("cBlocking"), std::string::npos);
-}
-
-TEST(RequestBuilder, RejectsEmptyRequest)
-{
-    const Simulator simulator;
-    auto builder = simulator.request();
-    EXPECT_FALSE(builder.build().has_value());
-    EXPECT_FALSE(builder.error().empty());
-}
-
-TEST(RequestBuilder, KeepsFirstError)
-{
-    const Simulator simulator;
-    auto builder = simulator.request()
-                       .workload("NoSuchLayer")
-                       .engine("NOPE-9000")
-                       .pattern(3);
-    EXPECT_FALSE(builder.build().has_value());
-    EXPECT_NE(builder.error().find("unknown workload"),
-              std::string::npos);
 }
 
 // --- Registries -------------------------------------------------------
@@ -224,22 +153,19 @@ TEST(WorkloadRegistry, AddAndGroup)
     EXPECT_TRUE(reg.group("tableIV").empty());
 }
 
-// --- Simulator facade -------------------------------------------------
+// --- Session ---------------------------------------------------------
 
-TEST(Simulator, MatchesSimulateLayerPrimitive)
+TEST(Session, MatchesSimulateLayerPrimitive)
 {
-    const Simulator simulator;
-    const auto request = simulator.request()
-                             .workload("quick-square")
-                             .engine("VEGETA-S-16-2")
-                             .pattern(2)
-                             .outputForwarding(true)
-                             .build();
-    ASSERT_TRUE(request.has_value());
-    const auto result = simulator.run(*request);
+    const Session session;
+    const auto result = session.run(requestOf(
+        session.job()
+            .workload("quick-square")
+            .engine("VEGETA-S-16-2")
+            .pattern(2)
+            .outputForwarding(true)));
 
-    kernels::Workload w =
-        *simulator.workloads().find("quick-square");
+    kernels::Workload w = *session.workloads().find("quick-square");
     const auto reference = kernels::simulateLayer(
         w, 2, engine::vegetaS162(), /*output_forwarding=*/true);
     EXPECT_EQ(result.coreCycles, reference.coreCycles);
@@ -250,24 +176,21 @@ TEST(Simulator, MatchesSimulateLayerPrimitive)
                      reference.macUtilization);
 }
 
-TEST(Simulator, ReplayMatchesGeneratedRun)
+TEST(Session, ReplayMatchesGeneratedRun)
 {
-    const Simulator simulator;
-    const auto request = simulator.request()
-                             .gemm(kernels::GemmDims{64, 64, 256})
-                             .engine("VEGETA-S-2-2")
-                             .pattern(2)
-                             .build();
-    ASSERT_TRUE(request.has_value());
+    const Session session;
+    const kernels::GemmDims dims{64, 64, 256};
+    const auto request = requestOf(
+        session.job().gemm(dims).engine("VEGETA-S-2-2").pattern(2));
 
     kernels::KernelOptions opts;
     opts.traceOnly = true;
-    const auto engine = simulator.engines().find("VEGETA-S-2-2");
+    const auto engine = session.engines().find("VEGETA-S-2-2");
     const auto run = kernels::runSpmmKernel(
-        request->gemm, engine->effectiveN(2), opts);
+        request.gemm, engine->effectiveN(2), opts);
 
-    const auto direct = simulator.run(*request);
-    const auto replayed = simulator.replay(run.trace, *request);
+    const auto direct = session.run(request);
+    const auto replayed = session.replay(run.trace, request);
     ASSERT_EQ(replayed.status, ReplayRun::Status::Ok);
     EXPECT_EQ(replayed.result.coreCycles, direct.coreCycles);
     EXPECT_EQ(replayed.result.instructions, direct.instructions);
@@ -275,15 +198,15 @@ TEST(Simulator, ReplayMatchesGeneratedRun)
 
     // Streamed from the serialized bytes: the very same result.
     std::istringstream bytes(traceBytes(run.trace));
-    const auto streamed = simulator.replay(bytes, *request);
+    const auto streamed = session.replay(bytes, request);
     ASSERT_EQ(streamed.status, ReplayRun::Status::Ok);
     EXPECT_EQ(streamed.result.instructions, run.trace.size());
     expectIdenticalSim(streamed.result, replayed.result);
 }
 
-TEST(Simulator, ReplayRefusesOpsTheEngineCannotExecute)
+TEST(Session, ReplayRefusesOpsTheEngineCannotExecute)
 {
-    const Simulator simulator;
+    const Session session;
     // A 2:4 trace contains TILE_SPMM_U ops; the dense RASA-DM engine
     // has no datapath for them.
     kernels::KernelOptions opts;
@@ -291,17 +214,14 @@ TEST(Simulator, ReplayRefusesOpsTheEngineCannotExecute)
     const auto run =
         kernels::runSpmmKernel({64, 64, 256}, /*executed_n=*/2, opts);
 
-    const auto sparse_req = simulator.request()
-                                .gemm(kernels::GemmDims{64, 64, 256})
-                                .engine("VEGETA-S-2-2")
-                                .build();
-    const auto dense_req = simulator.request()
-                               .gemm(kernels::GemmDims{64, 64, 256})
-                               .engine("VEGETA-D-1-2")
-                               .build();
-    EXPECT_EQ(simulator.replay(run.trace, *sparse_req).status,
+    const kernels::GemmDims dims{64, 64, 256};
+    const auto sparse_req =
+        requestOf(session.job().gemm(dims).engine("VEGETA-S-2-2"));
+    const auto dense_req =
+        requestOf(session.job().gemm(dims).engine("VEGETA-D-1-2"));
+    EXPECT_EQ(session.replay(run.trace, sparse_req).status,
               ReplayRun::Status::Ok);
-    const auto refused = simulator.replay(run.trace, *dense_req);
+    const auto refused = session.replay(run.trace, dense_req);
     ASSERT_EQ(refused.status, ReplayRun::Status::Unsupported);
     EXPECT_EQ(refused.error, "VEGETA-D-1-2 cannot execute " +
                                  std::string(isa::opcodeName(
@@ -310,156 +230,126 @@ TEST(Simulator, ReplayRefusesOpsTheEngineCannotExecute)
     // The streamed replay checks each op as it arrives, with the
     // same verdict.
     std::istringstream bytes(traceBytes(run.trace));
-    const auto streamed = simulator.replay(bytes, *dense_req);
+    const auto streamed = session.replay(bytes, dense_req);
     EXPECT_EQ(streamed.status, ReplayRun::Status::Unsupported);
     EXPECT_EQ(streamed.error, refused.error);
 }
 
-TEST(Simulator, TruncatedTraceReportsReadErrorBeforeUnsupportedOps)
+TEST(Session, TruncatedTraceReportsReadErrorBeforeUnsupportedOps)
 {
     // A damaged trace is unreadable whatever ops it holds: a truncated
     // 2:4 trace on the dense engine reports the read error, not the
     // TILE_SPMM_U it cannot execute.  The trace spans more than one
     // reader block, so on an unseekable stream the refused op arrives
     // well before the short block does.
-    const Simulator simulator;
+    const Session session;
     kernels::KernelOptions opts;
     opts.traceOnly = true;
     const auto run =
         kernels::runSpmmKernel({128, 128, 512}, /*executed_n=*/2, opts);
     ASSERT_GT(run.trace.size(), cpu::kTraceBlockOps);
-    const auto dense_req = simulator.request()
-                               .gemm(kernels::GemmDims{128, 128, 512})
-                               .engine("VEGETA-D-1-2")
-                               .build();
+    const auto dense_req = requestOf(session.job()
+                                         .gemm(kernels::GemmDims{
+                                             128, 128, 512})
+                                         .engine("VEGETA-D-1-2"));
     std::string bytes = traceBytes(run.trace);
     bytes.resize(bytes.size() - 5);
 
     std::istringstream file(bytes);
-    EXPECT_EQ(simulator.replay(file, *dense_req).status,
+    EXPECT_EQ(session.replay(file, dense_req).status,
               ReplayRun::Status::Unreadable);
 
     UnseekableBuf pipe(bytes, std::ios::in);
     std::istream stream(&pipe);
-    EXPECT_EQ(simulator.replay(stream, *dense_req).status,
+    EXPECT_EQ(session.replay(stream, dense_req).status,
               ReplayRun::Status::Unreadable);
 }
 
-TEST(Simulator, DenseEngineIgnoresOutputForwardingRequest)
+TEST(Session, DenseEngineIgnoresOutputForwardingRequest)
 {
-    const Simulator simulator;
-    const auto request = simulator.request()
-                             .workload("quick-small")
-                             .engine("VEGETA-D-1-2")
-                             .pattern(2)
-                             .outputForwarding(true)
-                             .build();
-    ASSERT_TRUE(request.has_value());
-    EXPECT_FALSE(simulator.run(*request).outputForwarding);
+    const Session session;
+    const auto request = requestOf(session.job()
+                                       .workload("quick-small")
+                                       .engine("VEGETA-D-1-2")
+                                       .pattern(2)
+                                       .outputForwarding(true));
+    EXPECT_FALSE(session.run(request).outputForwarding);
 }
 
-// --- SweepRunner ------------------------------------------------------
+// --- runBatch and the grid helpers -----------------------------------
 
-std::vector<SimulationRequest>
-fullQuickGrid(const Simulator &simulator)
+std::vector<std::string>
+quickNames(const Session &session)
 {
-    std::vector<std::string> workload_names;
-    for (const auto &w : simulator.workloads().group("quick"))
-        workload_names.push_back(w.name);
-    return figure13Grid(simulator, workload_names,
-                        simulator.engines().names(), {4, 2, 1});
+    std::vector<std::string> names;
+    for (const auto &w : session.workloads().group("quick"))
+        names.push_back(w.name);
+    return names;
 }
 
-TEST(SweepRunner, ParallelMatchesSingleThreadBitForBit)
+TEST(Session, RunBatchParallelMatchesSingleThreadBitForBit)
 {
-    const Simulator simulator;
-    const auto grid = fullQuickGrid(simulator);
+    const Session session;
+    const auto grid = figure13Grid(session, quickNames(session),
+                                   session.engines().names());
     ASSERT_FALSE(grid.empty());
 
-    const auto serial = SweepRunner(simulator, 1).run(grid);
-    const auto parallel = SweepRunner(simulator, 4).run(grid);
-
+    const auto serial = session.runBatch(grid, 1);
+    const auto parallel = session.runBatch(grid, 4);
     ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].workload, parallel[i].workload);
-        EXPECT_EQ(serial[i].engine, parallel[i].engine);
-        EXPECT_EQ(serial[i].layerN, parallel[i].layerN);
-        EXPECT_EQ(serial[i].executedN, parallel[i].executedN);
-        EXPECT_EQ(serial[i].outputForwarding,
-                  parallel[i].outputForwarding);
-        EXPECT_EQ(serial[i].coreCycles, parallel[i].coreCycles);
-        EXPECT_EQ(serial[i].instructions, parallel[i].instructions);
-        EXPECT_EQ(serial[i].engineInstructions,
-                  parallel[i].engineInstructions);
-        EXPECT_EQ(serial[i].tileComputes, parallel[i].tileComputes);
-        EXPECT_EQ(serial[i].cacheHits, parallel[i].cacheHits);
-        EXPECT_EQ(serial[i].cacheMisses, parallel[i].cacheMisses);
-        // bit-for-bit: exact double equality, not a tolerance.
-        EXPECT_EQ(serial[i].macUtilization,
-                  parallel[i].macUtilization);
-    }
+    for (std::size_t i = 0; i < serial.size(); ++i)
+        expectIdenticalSim(serial[i], parallel[i]);
 }
 
-TEST(SweepRunner, MatchesLegacyFigure13Sweep)
+TEST(Session, GeomeanSpeedupMatchesMaterializedLayers)
 {
-    const Simulator simulator;
-    const auto workloads = simulator.workloads().group("quick");
-    const auto engines = simulator.engines().configs();
-    const auto legacy = kernels::figure13Sweep(workloads, engines);
-
-    const auto results =
-        SweepRunner(simulator, 2).run(fullQuickGrid(simulator));
-    ASSERT_EQ(results.size(), legacy.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        EXPECT_EQ(results[i].workload, legacy[i].workload);
-        EXPECT_EQ(results[i].engine, legacy[i].engineName);
-        EXPECT_EQ(results[i].layerN, legacy[i].layerN);
-        EXPECT_EQ(results[i].coreCycles, legacy[i].coreCycles);
-    }
-}
-
-TEST(SweepRunner, GeomeanSpeedupMatchesLegacy)
-{
-    const Simulator simulator;
-    const auto workloads = simulator.workloads().group("quick");
-    std::vector<std::string> names;
-    for (const auto &w : workloads)
-        names.push_back(w.name);
-
+    // The streaming batch behind geomeanSpeedup against the
+    // materialized-trace primitive, ratio by ratio.
+    const Session session;
+    const auto names = quickNames(session);
     for (const u32 layer_n : {4u, 2u, 1u}) {
-        const double legacy = kernels::geomeanSpeedupVsDenseBaseline(
-            workloads, layer_n, engine::vegetaS162(), true);
-        const double sweep = geomeanSpeedup(
-            simulator, names, layer_n, "VEGETA-S-16-2", true,
-            "VEGETA-D-1-2", /*threads=*/3);
-        EXPECT_DOUBLE_EQ(sweep, legacy) << layer_n;
+        double log_sum = 0.0;
+        for (const auto &name : names) {
+            const auto w = *session.workloads().find(name);
+            const auto base = kernels::simulateLayer(
+                w, layer_n, engine::vegetaD12(), false);
+            const auto test = kernels::simulateLayer(
+                w, layer_n, engine::vegetaS162(), true);
+            log_sum += std::log(double(base.coreCycles) /
+                                double(test.coreCycles));
+        }
+        const double expected =
+            std::exp(log_sum / double(names.size()));
+        const double batch =
+            geomeanSpeedup(session, names, layer_n, "VEGETA-S-16-2",
+                           true, "VEGETA-D-1-2", /*threads=*/3);
+        EXPECT_DOUBLE_EQ(batch, expected) << layer_n;
     }
 }
 
-TEST(SweepRunner, EmptyBatch)
+TEST(Session, RunBatchOfNothingIsEmpty)
 {
-    const Simulator simulator;
-    EXPECT_TRUE(SweepRunner(simulator, 4).run({}).empty());
+    const Session session;
+    EXPECT_TRUE(
+        session.runBatch(std::vector<SimulationRequest>{}, 4).empty());
 }
 
 // --- Result serialization --------------------------------------------
 
 std::vector<SimulationResult>
-sampleResults(const Simulator &simulator)
+sampleResults(const Session &session)
 {
-    const auto request = simulator.request()
-                             .workload("quick-small")
-                             .engine("VEGETA-S-2-2")
-                             .pattern(2)
-                             .build();
-    return {simulator.run(*request)};
+    return {session.run(requestOf(session.job()
+                                      .workload("quick-small")
+                                      .engine("VEGETA-S-2-2")
+                                      .pattern(2)))};
 }
 
 TEST(Results, CsvHasHeaderAndRow)
 {
-    const Simulator simulator;
+    const Session session;
     std::ostringstream os;
-    writeCsv(os, sampleResults(simulator));
+    writeCsv(os, sampleResults(session));
     const std::string text = os.str();
     EXPECT_NE(text.find("workload,engine,pattern"), std::string::npos);
     EXPECT_NE(text.find("quick-small,VEGETA-S-2-2,2:4"),
@@ -468,9 +358,9 @@ TEST(Results, CsvHasHeaderAndRow)
 
 TEST(Results, JsonIsWellFormedEnough)
 {
-    const Simulator simulator;
+    const Session session;
     std::ostringstream os;
-    writeJson(os, sampleResults(simulator));
+    writeJson(os, sampleResults(session));
     const std::string text = os.str();
     EXPECT_EQ(text.front(), '[');
     EXPECT_NE(text.find("\"workload\": \"quick-small\""),
@@ -481,8 +371,8 @@ TEST(Results, JsonIsWellFormedEnough)
 
 TEST(Results, TableHasOneRowPerResult)
 {
-    const Simulator simulator;
-    const auto results = sampleResults(simulator);
+    const Session session;
+    const auto results = sampleResults(session);
     EXPECT_EQ(resultsTable(results).numRows(), results.size());
 }
 

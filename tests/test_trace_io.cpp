@@ -16,6 +16,8 @@
 #include <sstream>
 #include <streambuf>
 
+#include <sys/stat.h>
+
 #include "common/random.hpp"
 #include "cpu/trace_cpu.hpp"
 #include "cpu/trace_io.hpp"
@@ -314,16 +316,78 @@ TEST(TraceIo, StalledStreamMatchesBlockReads)
     }
 }
 
+/** An empty scratch directory for one file test. */
+std::filesystem::path
+scratchDir(const std::string &name)
+{
+    const auto dir = std::filesystem::path(::testing::TempDir()) /
+                     ("vegeta_trace_io_" + name);
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return dir;
+}
+
+ino_t
+inodeOf(const std::string &path)
+{
+    struct stat st = {};
+    EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+    return st.st_ino;
+}
+
+TEST(TraceIo, OverwriteWritesAFreshFile)
+{
+    // Rewriting a trace removes the old file instead of truncating
+    // it: the path names a new inode, a reader of the old one still
+    // sees the old trace, and a shorter trace over a longer one reads
+    // back exactly.
+    const std::string path =
+        (scratchDir("overwrite") / "t.vgtr").string();
+    ASSERT_TRUE(writeTraceFile(path, multiBlockTrace()));
+    const ino_t old_inode = inodeOf(path);
+    std::ifstream held(path, std::ios::binary); // pins the old inode
+
+    ASSERT_TRUE(writeTraceFile(path, sampleTrace()));
+    EXPECT_NE(inodeOf(path), old_inode);
+    const auto back = readTraceFile(path);
+    ASSERT_TRUE(back.has_value());
+    expectSameOps(*back, sampleTrace());
+    EXPECT_EQ(std::filesystem::file_size(path),
+              bytesOf(sampleTrace()).size());
+
+    const auto old = readTrace(held);
+    ASSERT_TRUE(old.has_value());
+    expectSameOps(*old, multiBlockTrace());
+}
+
+TEST(TraceIo, SymlinkIsWrittenThrough)
+{
+    namespace fs = std::filesystem;
+    const auto dir = scratchDir("symlink");
+    const auto target = dir / "target.vgtr";
+    const auto link = dir / "link.vgtr";
+    ASSERT_TRUE(writeTraceFile(target.string(), multiBlockTrace()));
+    fs::create_symlink(target, link);
+
+    ASSERT_TRUE(writeTraceFile(link.string(), sampleTrace()));
+    EXPECT_TRUE(fs::is_symlink(fs::symlink_status(link)));
+    const auto back = readTraceFile(target.string());
+    ASSERT_TRUE(back.has_value());
+    expectSameOps(*back, sampleTrace());
+}
+
 TEST(TraceIo, WriteToFullDeviceFails)
 {
     // A trace small enough to sit in the file buffer until the final
-    // flush must still report the failed write.
+    // flush must still report the failed write, and the device stays
+    // a device: only regular files are replaced.
     if (!std::filesystem::exists("/dev/full"))
         GTEST_SKIP() << "no /dev/full on this host";
     EXPECT_FALSE(writeTraceFile(
         "/dev/full", {TraceOp::alu(), TraceOp::load(0x1000, 64)}));
     EXPECT_FALSE(writeTraceFile("/dev/full", sampleTrace()));
     EXPECT_FALSE(writeTraceFile("/dev/full", multiBlockTrace()));
+    EXPECT_TRUE(std::filesystem::is_character_file("/dev/full"));
 
     std::ofstream os("/dev/full", std::ios::binary);
     TraceWriter writer(os);

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <sstream>
 
 #include "sim/cache.hpp"
@@ -89,6 +90,23 @@ TEST(TuneSpace, Figure13EnumerationAndRejectionCounts)
     EXPECT_EQ(valid, 45u);
 }
 
+TEST(TuneSpace, PointKeyIsPinned)
+{
+    // The key orders every ranking tie and prints in reports.
+    TunePoint point;
+    point.workload = "GPT-L3";
+    point.engine = "VEGETA-S-16-2";
+    point.patternN = 2;
+    point.outputForwarding = true;
+    point.kernel = KernelVariant::Naive;
+    point.cBlocking = 3;
+    EXPECT_EQ(tunePointKey(point), "GPT-L3|VEGETA-S-16-2|2|1|naive|3");
+    point.outputForwarding = false;
+    point.kernel = KernelVariant::Optimized;
+    EXPECT_EQ(tunePointKey(point),
+              "GPT-L3|VEGETA-S-16-2|2|0|optimized|3");
+}
+
 TEST(TuneSpace, AreaBudgetRejectsLargeDesigns)
 {
     Session session;
@@ -140,6 +158,33 @@ TEST(Tuner, AnalysisBudgetCapsStageTwo)
     EXPECT_LE(report.analyzedPoints, 10u);
     EXPECT_LE(report.replayedPoints, 2u);
     ASSERT_NE(report.best(), nullptr);
+}
+
+TEST(Tuner, DiskCacheKeepsOnlyTheReplays)
+{
+    // Scoring a point is no analysis: a tune leaves its replays in
+    // the persistent cache and none of its prefilter rows, and the
+    // cache changes no report byte.
+    const auto dir = std::filesystem::path(::testing::TempDir()) /
+                     "vegeta_tune_disk_cache";
+    std::filesystem::remove_all(dir);
+    TuneOptions options;
+    options.budget.replays = 3;
+    options.threads = 2;
+
+    Session cached;
+    const auto disk = cached.attachDiskCache(dir.string());
+    ASSERT_TRUE(disk->ok());
+    const auto space = TuneSpace::full(cached, {"quick-small"});
+    const auto report = Tuner(cached, options).run(space);
+    EXPECT_GT(report.analyzedPoints, report.replayedPoints);
+    EXPECT_EQ(disk->stats().analysisEntries, 0u);
+    EXPECT_EQ(disk->stats().simulationEntries, report.replayedPoints);
+    EXPECT_EQ(cached.analysesPerformed(), 0u);
+
+    const Session plain;
+    EXPECT_EQ(reportJson(report),
+              reportJson(Tuner(plain, options).run(space)));
 }
 
 // --- determinism -----------------------------------------------------
@@ -278,17 +323,17 @@ TEST(CostModel, FitRejectsDegenerateInputs)
 TEST(CostModel, CacheEntryRoundTripsThroughKey)
 {
     Session session;
-    auto request = session.request()
-                       .workload("quick-small")
-                       .engine("VEGETA-S-16-2")
-                       .pattern(2)
-                       .outputForwarding(true)
-                       .cBlocking(2)
-                       .build();
-    ASSERT_TRUE(request);
-    const auto result = session.run(*request);
+    const auto job = session.job()
+                         .workload("quick-small")
+                         .engine("VEGETA-S-16-2")
+                         .pattern(2)
+                         .outputForwarding(true)
+                         .cBlocking(2)
+                         .build();
+    ASSERT_TRUE(job);
+    const auto result = session.run(job->simulation);
     const auto sample = costSampleFromCacheEntry(
-        session, cacheKey(*request), result);
+        session, cacheKey(job->simulation), result);
     ASSERT_TRUE(sample);
     EXPECT_EQ(sample->features[0], 1.0); // bias term
     EXPECT_NEAR(sample->log2Cycles,
