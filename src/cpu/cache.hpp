@@ -23,6 +23,8 @@
 #ifndef VEGETA_CPU_CACHE_HPP
 #define VEGETA_CPU_CACHE_HPP
 
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/types.hpp"
@@ -42,7 +44,19 @@ struct CacheConfig
 class CacheModel
 {
   public:
+    /**
+     * @p config must pass configError; the constructor asserts its
+     * power-of-two and non-empty geometry.
+     */
     explicit CacheModel(CacheConfig config = {});
+
+    /**
+     * Why @p config cannot build a cache (a line size or set count
+     * that is no power of two, no ways, or a tag array over 2^20
+     * lines), or nullopt.
+     */
+    static std::optional<std::string>
+    configError(const CacheConfig &config);
 
     /** Access one line; returns its load-use latency. */
     Cycles

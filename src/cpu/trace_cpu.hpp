@@ -77,7 +77,20 @@ struct SimResult
 class TraceCpu final : public TraceSink
 {
   public:
+    /**
+     * @p core must pass configError; the constructor asserts the part
+     * of it that indexes a unit pool or ring.
+     */
     TraceCpu(CoreConfig core, engine::EngineConfig engine);
+
+    /**
+     * Why @p core cannot be replayed, or nullopt: every field the
+     * model divides by, masks with, sizes a ring or a unit pool
+     * with, and the cache geometry (CacheModel::configError).
+     * sim::requestError calls it for every simulation job.
+     */
+    static std::optional<std::string>
+    configError(const CoreConfig &core);
 
     /**
      * Begin a fresh simulation from a cold pipeline, discarding any
@@ -115,6 +128,8 @@ class TraceCpu final : public TraceSink
     static constexpr u32 kLineBytes = 64;
     /** Widest supported functional-unit pool. */
     static constexpr u32 kMaxUnits = 16;
+    /** Largest fetch/retire width, ROB and load buffer. */
+    static constexpr u32 kMaxWindow = 1u << 16;
     /** Longest line range whose cache probes are batched. */
     static constexpr u32 kProbeBatch = 64;
 

@@ -10,9 +10,11 @@
  * same registry/request/result pattern as trace simulation: an
  * AnalyticalRegistry resolves model names to backends, an
  * AnalyticalRequest carries the parameters (validated against the
- * simulator's engine/workload registries), and every backend returns a
- * uniform AnalyticalResult -- a typed table benches print directly and
- * tools consume cell by cell.
+ * simulator's engine/workload registries and the model's own
+ * parameter check), and every backend returns a uniform
+ * AnalyticalResult -- a typed table the CLI prints directly and tools
+ * consume cell by cell.  The paper-fidelity model sets the paper's
+ * quantitative claims next to the model's values for them.
  *
  * Nothing above the facade wires src/model or src/engine by hand; new
  * analytical studies become one `add()` call on the registry.
@@ -33,6 +35,7 @@
 
 namespace vegeta::sim {
 
+class EngineRegistry;
 class Session;
 
 /** One table cell: either text or a number with print precision. */
@@ -81,7 +84,7 @@ struct AnalyticalResult
     std::vector<std::string> columns;
     std::vector<std::vector<AnalyticalCell>> rows;
 
-    /** Human-readable footnotes (paper anchors, sanity checks). */
+    /** Human-readable footnotes (units, network shapes). */
     std::vector<std::string> notes;
 
     /** Start a new row and return it. */
@@ -120,9 +123,18 @@ class AnalyticalRegistry
     using Backend = std::function<AnalyticalResult(
         const Session &, const AnalyticalRequest &)>;
 
+    /**
+     * Why a request's params and options are outside what its
+     * backend accepts, or nullopt.  Every value is checked before
+     * the backend casts or sizes anything with it, so a backend may
+     * trust its inputs.
+     */
+    using Check = std::function<std::optional<std::string>(
+        const EngineRegistry &, const AnalyticalRequest &)>;
+
     AnalyticalRegistry &add(const std::string &name,
                             const std::string &description,
-                            Backend backend);
+                            Backend backend, Check check = {});
 
     bool contains(const std::string &name) const;
 
@@ -134,6 +146,14 @@ class AnalyticalRegistry
     /** One-line description of a model ("" if unknown). */
     std::string description(const std::string &name) const;
 
+    /**
+     * The model's Check on @p request (nullopt for an unknown model
+     * or one without a check).
+     */
+    std::optional<std::string>
+    paramError(const EngineRegistry &engines,
+               const AnalyticalRequest &request) const;
+
     std::size_t size() const { return entries_.size(); }
 
     /**
@@ -141,7 +161,8 @@ class AnalyticalRegistry
      * fig4-vector-vs-matrix, fig10-pipelining, fig14-area-power,
      * fig14-area-breakdown, fig15-unstructured, blocksize-coverage,
      * blocksize-hardware, micro-latency, network-policy,
-     * dynamic-sparsity, and the tuner's tune-prefilter estimator.
+     * dynamic-sparsity, the tuner's tune-prefilter estimator, and
+     * paper-fidelity.
      */
     static AnalyticalRegistry builtin();
 
@@ -151,6 +172,7 @@ class AnalyticalRegistry
         std::string name;
         std::string description;
         Backend backend;
+        Check check;
     };
 
     std::vector<Entry> entries_;

@@ -80,10 +80,6 @@ JobBuilder::workload(const std::string &name)
 JobBuilder &
 JobBuilder::gemm(const kernels::GemmDims &dims)
 {
-    if (dims.m == 0 || dims.n == 0 || dims.k == 0) {
-        fail("GEMM dimensions must be non-zero");
-        return *this;
-    }
     gemm_ = dims;
     return *this;
 }
@@ -113,11 +109,6 @@ JobBuilder::engine(const std::string &name)
 JobBuilder &
 JobBuilder::pattern(u32 layer_n)
 {
-    if (layer_n != 1 && layer_n != 2 && layer_n != 4) {
-        fail("pattern must be 1, 2, or 4 (got " +
-             std::to_string(layer_n) + ")");
-        return *this;
-    }
     pattern_ = layer_n;
     have_sim_knob_ = true;
     return *this;
@@ -142,11 +133,6 @@ JobBuilder::kernel(KernelVariant variant)
 JobBuilder &
 JobBuilder::cBlocking(u32 c_tiles)
 {
-    if (c_tiles < 1 || c_tiles > 3) {
-        fail("cBlocking must be 1..3 (got " + std::to_string(c_tiles) +
-             ")");
-        return *this;
-    }
     c_blocking_ = c_tiles;
     have_sim_knob_ = true;
     return *this;
@@ -206,6 +192,11 @@ JobBuilder::build()
         request.engines = engine_names_;
         request.params = params_;
         request.options = options_;
+        if (const auto error =
+                analytics_.paramError(engines_, request)) {
+            fail(*error);
+            return std::nullopt;
+        }
         return Job::analyze(std::move(request));
     }
 
@@ -242,6 +233,10 @@ JobBuilder::build()
     request.kernel = kernel_;
     request.cBlocking = c_blocking_;
     request.core = core_;
+    if (const auto error = requestError(request)) {
+        fail(*error);
+        return std::nullopt;
+    }
     return Job::simulate(std::move(request));
 }
 

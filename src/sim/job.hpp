@@ -83,11 +83,12 @@ struct JobResult
 /**
  * Fluent, validating builder for both job kinds.  Calling model()
  * makes the job analytical; otherwise build() produces a simulation
- * job: one workload or GEMM target and one engine, a pattern of 1, 2
- * or 4 and a C blocking of 1..3.  Name lookups fail
- * eagerly (first error wins); cross-kind constraints (a pattern on an
- * analytical job, a param on a simulation job) are checked at
- * build().
+ * job: one workload or GEMM target and one engine, and whatever
+ * requestError accepts (a pattern of 1, 2 or 4, a C blocking of 1..3,
+ * a core the replay model takes).  Name lookups fail eagerly (first
+ * error wins); cross-kind constraints (a pattern on an analytical
+ * job, a param on a simulation job), requestError and the model's
+ * parameter check run at build().
  *
  *   auto job = session.job()
  *                  .workload("BERT-L1")

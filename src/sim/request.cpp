@@ -10,6 +10,22 @@ kernelVariantName(KernelVariant variant)
     return variant == KernelVariant::Naive ? "naive" : "optimized";
 }
 
+std::optional<std::string>
+requestError(const SimulationRequest &request)
+{
+    const kernels::GemmDims &gemm = request.gemm;
+    if (gemm.m == 0 || gemm.n == 0 || gemm.k == 0)
+        return std::string("GEMM dimensions must be non-zero");
+    if (request.patternN != 1 && request.patternN != 2 &&
+        request.patternN != 4)
+        return "pattern must be 1, 2, or 4 (got " +
+               std::to_string(request.patternN) + ")";
+    if (request.cBlocking < 1 || request.cBlocking > 3)
+        return "cBlocking must be 1..3 (got " +
+               std::to_string(request.cBlocking) + ")";
+    return cpu::TraceCpu::configError(request.core);
+}
+
 std::optional<kernels::GemmDims>
 parseGemmSpec(const std::string &spec)
 {

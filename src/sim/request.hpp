@@ -8,7 +8,8 @@
  * output forwarding, kernel variant, core overrides).  Requests are
  * plain data so they can be stored, compared, and sharded across
  * threads; sim/job.hpp's JobBuilder validates against the registries
- * so every request handed to the Session is known-runnable.
+ * and requestError so every request handed to the Session is
+ * known-runnable.
  */
 
 #ifndef VEGETA_SIM_REQUEST_HPP
@@ -54,6 +55,17 @@ struct SimulationRequest
     /** Core model overrides (OF flag is set from the request). */
     cpu::CoreConfig core;
 };
+
+/**
+ * Why @p request cannot run, its engine name aside (the registry's
+ * business): zero GEMM dimensions, a pattern other than 1, 2 or 4, a
+ * C blocking outside 1..3, or a core the replay model refuses
+ * (cpu::TraceCpu::configError).  JobBuilder::build and
+ * Session::jobError both call it, so a job from the wire is held to
+ * what a built one is.
+ */
+std::optional<std::string>
+requestError(const SimulationRequest &request);
 
 /**
  * Strict "MxNxK" parser (rejects trailing garbage and zero dims),

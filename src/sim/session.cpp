@@ -260,7 +260,7 @@ Session::analyzeError(const AnalyticalRequest &request) const
     for (const auto &name : request.workloads)
         if (!workloads_.contains(name))
             return "unknown workload: " + name;
-    return std::nullopt;
+    return analytics_.paramError(engines_, request);
 }
 
 AnalyticalResult
@@ -301,10 +301,7 @@ Session::jobError(const Job &job) const
         return analyzeError(job.analysis);
     if (!engines_.contains(job.simulation.engine))
         return "unknown engine: " + job.simulation.engine;
-    if (job.simulation.gemm.m == 0 || job.simulation.gemm.n == 0 ||
-        job.simulation.gemm.k == 0)
-        return std::string("GEMM dimensions must be non-zero");
-    return std::nullopt;
+    return requestError(job.simulation);
 }
 
 JobResult

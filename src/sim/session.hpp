@@ -145,7 +145,8 @@ class Session
 
     /**
      * Why an analytical request cannot run (unknown model, engine, or
-     * workload name), or nullopt if it is valid.
+     * workload name, or a param or option its model's check refuses),
+     * or nullopt if it is valid.
      */
     std::optional<std::string>
     analyzeError(const AnalyticalRequest &request) const;
@@ -157,7 +158,10 @@ class Session
      */
     AnalyticalResult analyze(const AnalyticalRequest &request) const;
 
-    /** Why @p job cannot run, or nullopt if it is valid. */
+    /**
+     * Why @p job cannot run, or nullopt if it is valid: analyzeError,
+     * or an unknown engine and requestError.
+     */
     std::optional<std::string> jobError(const Job &job) const;
 
     /** Run one job of either kind (must be valid, see jobError). */

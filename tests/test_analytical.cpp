@@ -1,12 +1,15 @@
 /**
  * @file
  * Analytical-registry tests: the facade's analytical backends must
- * reproduce the direct src/model and src/engine calls they wrap, and
- * requests must validate against the registries.
+ * reproduce the direct src/model and src/engine calls they wrap,
+ * requests must validate against the registries and each model's
+ * parameter check, and the paper-fidelity table is pinned row by row.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iterator>
 #include <sstream>
 
 #include "engine/area_model.hpp"
@@ -26,7 +29,8 @@ TEST(AnalyticalRegistry, BuiltinModelsRegistered)
          {"fig3-roofline", "fig4-vector-vs-matrix", "fig10-pipelining",
           "fig14-area-power", "fig14-area-breakdown",
           "fig15-unstructured", "blocksize-coverage",
-          "blocksize-hardware"}) {
+          "blocksize-hardware", "micro-latency", "network-policy",
+          "dynamic-sparsity", "tune-prefilter", "paper-fidelity"}) {
         EXPECT_TRUE(registry.contains(model)) << model;
         EXPECT_FALSE(registry.description(model).empty()) << model;
     }
@@ -72,6 +76,197 @@ TEST(Analytical, RequestValidation)
 
     request.workloads = {"BERT-L1"};
     EXPECT_FALSE(session.analyzeError(request).has_value());
+}
+
+TEST(Analytical, ParamChecksRejectBeforeTheBackend)
+{
+    // Each of these reached a VEGETA_ASSERT, a cast of a negative or
+    // huge double, or an unbounded allocation inside the backend.
+    const Session session;
+    const struct
+    {
+        const char *model;
+        std::map<std::string, double> params;
+        std::map<std::string, std::string> options;
+        std::vector<std::string> engines;
+        const char *mentions;
+    } bad[] = {
+        {"micro-latency", {}, {{"op", "bogus"}}, {}, "op"},
+        {"fig10-pipelining", {}, {{"op", "bogus"}}, {}, "op"},
+        {"fig10-pipelining", {}, {{"op", "spmm_u"}}, {"VEGETA-D-1-2"},
+         "TILE_SPMM_U"},
+        {"fig10-pipelining", {{"instructions", -1}}, {}, {},
+         "instructions"},
+        {"fig10-pipelining", {{"instructions", 1e12}}, {}, {},
+         "instructions"},
+        {"fig10-pipelining", {{"instructions", 2.5}}, {}, {},
+         "instructions"},
+        {"tune-prefilter", {{"pattern", 3}}, {}, {}, "pattern"},
+        {"tune-prefilter", {{"cblocking", 0}}, {}, {}, "cblocking"},
+        {"tune-prefilter", {}, {{"kernel", "fast"}}, {}, "kernel"},
+        {"blocksize-coverage", {{"trials", 0}}, {}, {}, "trials"},
+        {"blocksize-coverage", {{"rows", 1e9}}, {}, {}, "rows"},
+        {"blocksize-coverage", {{"cols", 100}}, {}, {}, "cols"},
+        {"blocksize-coverage", {{"cols", 1000}}, {}, {}, "cols"},
+        {"blocksize-hardware", {}, {{"baseline", "nope"}}, {},
+         "baseline"},
+        {"fig14-area-breakdown", {{"block_size", 5}}, {}, {},
+         "block_size"},
+        {"dynamic-sparsity", {{"registers", 0}}, {}, {}, "registers"},
+        {"dynamic-sparsity", {{"trials", -3}}, {}, {}, "trials"},
+        {"dynamic-sparsity", {{"density", 2}}, {}, {}, "density"},
+        {"dynamic-sparsity", {{"seed", -1}}, {}, {}, "seed"},
+        {"network-policy", {}, {{"network", "nope"}}, {}, "network"},
+        {"fig15-unstructured", {{"degree", 1.5}}, {}, {}, "degree"},
+        {"fig15-unstructured", {{"degree", 1}}, {}, {}, "degree"},
+        {"fig15-unstructured", {{"seed", 1e300}}, {}, {}, "seed"},
+        {"fig3-roofline", {{"memory_gbs", 0}}, {}, {}, "memory_gbs"},
+        {"fig3-roofline", {{"vector_gflops", std::nan("")}}, {}, {},
+         "vector_gflops"},
+        {"paper-fidelity", {{"degree", 0.9}}, {}, {}, "no workloads"},
+        {"paper-fidelity", {}, {}, {"VEGETA-S-2-2"}, "no workloads"},
+    };
+    for (const auto &b : bad) {
+        AnalyticalRequest request;
+        request.model = b.model;
+        request.params = b.params;
+        request.options = b.options;
+        request.engines = b.engines;
+        const auto error = session.analyzeError(request);
+        ASSERT_TRUE(error.has_value()) << b.model << " " << b.mentions;
+        EXPECT_NE(error->find(b.mentions), std::string::npos) << *error;
+        EXPECT_EQ(session.jobError(Job::analyze(request)), error);
+
+        // The builder runs the same check.
+        auto builder = session.job().model(b.model);
+        for (const auto &[name, value] : b.params)
+            builder.param(name, value);
+        for (const auto &[name, value] : b.options)
+            builder.option(name, value);
+        for (const auto &name : b.engines)
+            builder.engine(name);
+        EXPECT_FALSE(builder.build().has_value()) << *error;
+        EXPECT_EQ(builder.error(), *error);
+    }
+}
+
+TEST(Analytical, EveryDefaultAndBoundaryPassesItsCheck)
+{
+    const Session session;
+    for (const auto &model : session.analytics().names()) {
+        AnalyticalRequest request;
+        request.model = model;
+        EXPECT_EQ(session.analyzeError(request), std::nullopt) << model;
+    }
+    const struct
+    {
+        const char *model;
+        std::map<std::string, double> params;
+        std::map<std::string, std::string> options;
+    } good[] = {
+        {"fig10-pipelining",
+         {{"instructions", 1024}},
+         {{"op", "spmm_u"}}},
+        {"blocksize-coverage", {{"cols", 256}, {"trials", 64}}, {}},
+        {"fig15-unstructured", {{"degree", 0}, {"seed", 0}}, {}},
+        {"dynamic-sparsity", {{"density", 1}}, {}},
+        {"fig14-area-breakdown", {{"block_size", 16}}, {}},
+        {"tune-prefilter", {{"pattern", 1}, {"cblocking", 3}},
+         {{"kernel", "naive"}}},
+        {"network-policy", {}, {{"network", "all"}}},
+        {"micro-latency", {}, {{"op", "spmm_v"}}},
+    };
+    for (const auto &g : good) {
+        AnalyticalRequest request;
+        request.model = g.model;
+        request.params = g.params;
+        request.options = g.options;
+        EXPECT_EQ(session.analyzeError(request), std::nullopt)
+            << g.model;
+    }
+}
+
+TEST(Analytical, PaperFidelityRowsArePinned)
+{
+    // The paper's quantitative claims against the model.  Each model
+    // value is pinned to 1e-9 relative: a change that moves one must
+    // update its pin here, and may only narrow a gap past its
+    // tolerance by re-declaring the tolerance.
+    const Session session;
+    AnalyticalRequest request;
+    request.model = "paper-fidelity";
+    const auto result = session.analyze(request);
+    const struct
+    {
+        const char *figure;
+        double paper;
+        double model;
+        double tolerance;
+    } pinned[] = {
+        {"abstract, Fig 13", 1.09, 1.0633522044554764, 3},
+        {"abstract, Fig 13", 2.20, 1.9686343021785653, 11},
+        {"abstract, Fig 13", 3.74, 3.3350737890000985, 11},
+        {"abstract, Fig 15", 3.28, 3.2467917477400454, 3},
+        {"Fig 15", 2.36, 2.3428240679059074, 3},
+        {"Fig 15", 1.00, 1.0266544922856611, 3},
+        {"Fig 14", 1.06, 1.0598088752196835, 3},
+        {"Fig 14, Sec VI-D", 1.17, 1.1639176963812885, 3},
+        {"Fig 14, Sec VI-D", 1.08, 1.0835999558693734, 3},
+        {"Fig 14, Sec VI-D", 1.04, 1.0434410856134155, 3},
+        {"Fig 14, Sec VI-D", 1.03, 1.023361650485437, 3},
+        {"Fig 14, Sec VI-D", 1.01, 1.0133219329214476, 3},
+        {"Fig 10(d)", 17, 17, 0},
+    };
+    ASSERT_EQ(result.rows.size(), std::size(pinned));
+    double headline_gap = 0;
+    for (std::size_t i = 0; i < result.rows.size(); ++i) {
+        SCOPED_TRACE(result.text(i, "anchor"));
+        const auto &pin = pinned[i];
+        EXPECT_EQ(result.text(i, "figure"), pin.figure);
+        EXPECT_EQ(result.number(i, "paper"), pin.paper);
+        EXPECT_NEAR(result.number(i, "model"), pin.model,
+                    1e-9 * pin.model);
+        EXPECT_EQ(result.number(i, "tolerance_%"), pin.tolerance);
+        const double error = result.number(i, "rel_error_%");
+        const double model = result.number(i, "model");
+        EXPECT_DOUBLE_EQ(error, 100.0 * (model / pin.paper - 1.0));
+        EXPECT_LE(std::abs(error), pin.tolerance);
+        if (i < 3)
+            headline_gap += std::abs(error) / 3;
+    }
+    // The benchmark ledger's paper_gap_pct: the mean |rel. error| of
+    // the three headline rows.
+    EXPECT_NEAR(headline_gap, 7.929426, 5e-7);
+}
+
+TEST(Analytical, MicroLatencyCarriesTableIII)
+{
+    const Session session;
+    AnalyticalRequest request;
+    request.model = "micro-latency";
+    const auto result = session.analyze(request);
+    const auto configs = session.engines().tableIIIConfigs();
+    ASSERT_EQ(result.rows.size(), configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const auto &cfg = configs[i];
+        EXPECT_EQ(result.text(i, "engine"), cfg.name);
+        // Every Table III design keeps the same MAC count.
+        EXPECT_EQ(result.number(i, "Nrows") *
+                      result.number(i, "Ncols") *
+                      result.number(i, "MACs/PE"),
+                  double(engine::kTotalMacs))
+            << cfg.name;
+        EXPECT_EQ(result.number(i, "inputs/PE"),
+                  double(cfg.inputsPerPe()));
+        EXPECT_EQ(result.number(i, "alpha"), double(cfg.alpha));
+        EXPECT_EQ(result.number(i, "drain"),
+                  double(cfg.drainLatency()));
+        EXPECT_EQ(result.text(i, "sparsity"),
+                  cfg.sparse ? "1:4, 2:4, 4:4" : "Dense");
+        EXPECT_EQ(result.text(i, "prior_work"), cfg.priorWorkLabel);
+        EXPECT_EQ(result.number(i, "initiation_interval"),
+                  double(engine::initiationInterval(cfg)));
+    }
 }
 
 TEST(Analytical, VectorVsMatrixMatchesDirectModel)

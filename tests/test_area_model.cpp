@@ -35,16 +35,16 @@ TEST(AreaModel, BaselineNormalizesToOne)
     EXPECT_DOUBLE_EQ(row(s, "VEGETA-D-1-1").normalizedPower, 1.0);
 }
 
-TEST(AreaModel, WorstSparseOverheadIsAboutSixPercent)
+TEST(AreaModel, SOneTwoHasTheLargestArea)
 {
     // "The VEGETA-S design with the largest area overhead compared
-    // with RASA-SM only causes 6% area overhead" (S-1-2).
+    // with RASA-SM only causes 6% area overhead" (S-1-2); the 6% is
+    // a paper-fidelity row.
     auto s = series();
     double worst = 0.0;
     for (const auto &r : s)
         worst = std::max(worst, r.normalizedArea);
     EXPECT_EQ(row(s, "VEGETA-S-1-2").normalizedArea, worst);
-    EXPECT_NEAR(worst, 1.06, 0.02);
 }
 
 TEST(AreaModel, LargeAlphaSparseDesignsAreSmallerThanBaseline)
@@ -69,28 +69,10 @@ TEST(AreaModel, AreaDecreasesWithAlpha)
             << order[i];
 }
 
-TEST(AreaModel, PowerOverheadsMatchPaperSequence)
-{
-    // Section VI-D: power overhead for VEGETA-S-alpha-2 is 17%, 8%,
-    // 4%, 3%, 1% for alpha = 1, 2, 4, 8, 16 (vs RASA-SM).  The
-    // component model reproduces the sequence within ~3 points.
-    auto s = series();
-    const struct
-    {
-        const char *name;
-        double target;
-    } expect[] = {
-        {"VEGETA-S-1-2", 1.17}, {"VEGETA-S-2-2", 1.08},
-        {"VEGETA-S-4-2", 1.04}, {"VEGETA-S-8-2", 1.03},
-        {"VEGETA-S-16-2", 1.01},
-    };
-    for (const auto &e : expect)
-        EXPECT_NEAR(row(s, e.name).normalizedPower, e.target, 0.03)
-            << e.name;
-}
-
 TEST(AreaModel, PowerDecreasesWithAlpha)
 {
+    // Section VI-D's 17/8/4/3/1% power overheads for alpha = 1..16
+    // are paper-fidelity rows; this keeps their order.
     auto s = series();
     const char *order[] = {"VEGETA-S-1-2", "VEGETA-S-2-2", "VEGETA-S-4-2",
                            "VEGETA-S-8-2", "VEGETA-S-16-2"};

@@ -342,6 +342,53 @@ TEST(Service, BadJobErrorsButConnectionSurvives)
     expectIdenticalBatches(run->results, local.runBatch(jobs, 2));
 }
 
+void
+expectBadJobsRejectedCleanly(u32 workers, const char *name)
+{
+    // A simulation job whose core has no clock divider (SIGFPE in the
+    // replay core) and an analysis job with an unknown op (a backend
+    // assert) each used to take down the daemon, or every worker in
+    // turn.  Now each batch gets an error reply and the next batch
+    // still matches local execution.
+    ServerFixture fixture(name, workers);
+    auto client = fixture.client();
+    std::string error;
+    ASSERT_TRUE(client.connect(&error)) << error;
+
+    Job no_divider =
+        Job::simulate(quickRequest(128, "VEGETA-D-1-2", 4));
+    no_divider.simulation.core.engineClockDivider = 0;
+    AnalyticalRequest bogus_op;
+    bogus_op.model = "micro-latency";
+    bogus_op.options["op"] = "bogus";
+    Session local;
+    local.enableCache();
+    const auto jobs = mixedBatch();
+    for (const auto &bad :
+         {no_divider, Job::analyze(std::move(bogus_op))}) {
+        EXPECT_FALSE(client.runBatch({bad}, &error).has_value());
+        EXPECT_EQ(error, "server: job 0: " + *local.jobError(bad));
+        const auto run = client.runBatch(jobs, &error);
+        ASSERT_TRUE(run.has_value()) << error;
+        expectIdenticalBatches(run->results, local.runBatch(jobs, 2));
+    }
+    const auto stats = client.fetchStats(&error);
+    ASSERT_TRUE(stats.has_value()) << error;
+    EXPECT_EQ(stats->find("\"alive\": false"), std::string::npos)
+        << *stats;
+    fixture.server->stop();
+}
+
+TEST(Service, InvalidJobsErrorInProcess)
+{
+    expectBadJobsRejectedCleanly(0, "invalid-inproc");
+}
+
+TEST(Service, InvalidJobsErrorWithWorkers)
+{
+    expectBadJobsRejectedCleanly(2, "invalid-workers");
+}
+
 TEST(Service, ConcurrentClientsAllGetIdenticalResults)
 {
     ServerFixture fixture("fairness");

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 
 #include "expect_identical.hpp"
 #include "sim/session.hpp"
@@ -357,6 +358,69 @@ TEST(Session, JobErrorChecksBothKinds)
                           .build();
     ASSERT_TRUE(good.has_value());
     EXPECT_FALSE(session.jobError(*good).has_value());
+}
+
+TEST(Session, JobErrorCoversEveryFieldTheReplayCoreRefuses)
+{
+    // One case per field the replay core asserts on, divides by, masks
+    // with or sizes an allocation with.  Each used to pass jobError
+    // and abort Session::run (SIGFPE for the clock divider), which
+    // took a serve daemon down with it.
+    const Session session;
+    auto built = session.job()
+                     .gemm(kernels::GemmDims{32, 32, 128})
+                     .engine("VEGETA-S-16-2")
+                     .build();
+    ASSERT_TRUE(built.has_value());
+    const SimulationRequest base = built->simulation;
+    ASSERT_EQ(session.jobError(*built), std::nullopt);
+
+    using Mutation = std::function<void(SimulationRequest &)>;
+    const std::pair<const char *, Mutation> cases[] = {
+        {"GEMM", [](auto &r) { r.gemm.k = 0; }},
+        {"pattern", [](auto &r) { r.patternN = 3; }},
+        {"pattern", [](auto &r) { r.patternN = 0; }},
+        {"cBlocking", [](auto &r) { r.cBlocking = 0; }},
+        {"cBlocking", [](auto &r) { r.cBlocking = 9; }},
+        {"fetchWidth", [](auto &r) { r.core.fetchWidth = 0; }},
+        {"retireWidth", [](auto &r) { r.core.retireWidth = 0; }},
+        {"robEntries", [](auto &r) { r.core.robEntries = 0; }},
+        {"robEntries", [](auto &r) { r.core.robEntries = 1u << 31; }},
+        {"loadBufferEntries",
+         [](auto &r) { r.core.loadBufferEntries = 0; }},
+        {"loadBufferEntries",
+         [](auto &r) { r.core.loadBufferEntries = ~0u; }},
+        {"numAlus", [](auto &r) { r.core.numAlus = 0; }},
+        {"numAlus", [](auto &r) { r.core.numAlus = 17; }},
+        {"numLsuPorts", [](auto &r) { r.core.numLsuPorts = 0; }},
+        {"numVectorFus", [](auto &r) { r.core.numVectorFus = 0; }},
+        {"engineClockDivider",
+         [](auto &r) { r.core.engineClockDivider = 0; }},
+        {"lineBytes", [](auto &r) { r.core.cache.lineBytes = 0; }},
+        {"lineBytes", [](auto &r) { r.core.cache.lineBytes = 48; }},
+        {"l1Sets", [](auto &r) { r.core.cache.l1Sets = 0; }},
+        {"l1Sets", [](auto &r) { r.core.cache.l1Sets = 3; }},
+        {"l1Ways", [](auto &r) { r.core.cache.l1Ways = 0; }},
+        {"l1Ways", [](auto &r) { r.core.cache.l1Ways = 1u << 20; }},
+    };
+    for (const auto &[field, mutate] : cases) {
+        Job job = Job::simulate(base);
+        mutate(job.simulation);
+        const auto error = session.jobError(job);
+        ASSERT_TRUE(error.has_value()) << field;
+        EXPECT_NE(error->find(field), std::string::npos) << *error;
+
+        // JobBuilder::build holds a job to the same check.
+        const SimulationRequest &r = job.simulation;
+        auto builder = session.job()
+                           .gemm(r.gemm)
+                           .engine(r.engine)
+                           .pattern(r.patternN)
+                           .cBlocking(r.cBlocking)
+                           .core(r.core);
+        EXPECT_FALSE(builder.build().has_value()) << field;
+        EXPECT_EQ(builder.error(), *error);
+    }
 }
 
 } // namespace

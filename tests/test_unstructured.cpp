@@ -40,16 +40,6 @@ TEST(Figure15, LayerWiseBarelyHelpsOnUnstructured)
         EXPECT_LT(p.layerWise, 1.35) << p.degree;
 }
 
-TEST(Figure15, RowWiseMatchesPaperAt90And95)
-{
-    // "Row-wise achieves 2.36x and 3.28x at 90% and 95%."
-    const auto series =
-        figure15Series(kernels::tableIVWorkloads(), {0.90, 0.95});
-    ASSERT_EQ(series.size(), 2u);
-    EXPECT_NEAR(series[0].rowWise, 2.36, 0.30);
-    EXPECT_NEAR(series[1].rowWise, 3.28, 0.35);
-}
-
 TEST(Figure15, SigmaCrossoverNear95Percent)
 {
     // SIGMA wins only at extreme sparsity (>~95%); it is inefficient
