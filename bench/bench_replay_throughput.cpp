@@ -27,6 +27,14 @@
  * tracing armed vs disarmed (interleaved arms) and the run fails
  * past --max-telemetry-overhead PCT (default 2).
  *
+ * A steady_state row times generation fused with replay on GPT-L3
+ * (384 k-iterations per C-tile group at 4:4, where the replay core's
+ * steady-state skip advances most ops without scheduling them) at
+ * 4:4 and 1:4, on VEGETA-S-16-2 with OF and on VEGETA-D-1-2.  It is
+ * recorded beside the single-stream points and kept out of their
+ * gated geomeans, whose 128x128x512 and 256x256x1024 points have at
+ * most 32 k-iterations per group.
+ *
  * A trace_io row times writeTraceFile and readTraceFile per op on the
  * GPT-L3 4:4 trace, gated like the replay rate against the latest
  * entry (skipped while that entry has no trace_io row).  Every entry
@@ -110,21 +118,30 @@ requestFor(const sim::Session &simulator, const Point &point)
     return job->simulation;
 }
 
-/** Streaming: generation + replay fused, no trace in memory. */
+/**
+ * Streaming: generation + replay fused, no trace in memory.  Best of
+ * @p reps runs; raises @p rate, sets @p uops.
+ */
 void
-measureStream(const sim::Session &simulator, PointResult &out,
-              int reps)
+streamRate(const sim::Session &simulator,
+           const sim::SimulationRequest &request, int reps, u64 &uops,
+           double &rate)
 {
-    const auto request = requestFor(simulator, out.point);
     for (int r = 0; r < reps; ++r) {
         const auto t0 = Clock::now();
         const auto result = simulator.run(request);
         const auto t1 = Clock::now();
-        out.uops = result.instructions;
-        out.streamUopsPerSec = std::max(
-            out.streamUopsPerSec,
-            result.instructions / seconds(t0, t1));
+        uops = result.instructions;
+        rate = std::max(rate, result.instructions / seconds(t0, t1));
     }
+}
+
+void
+measureStream(const sim::Session &simulator, PointResult &out,
+              int reps)
+{
+    streamRate(simulator, requestFor(simulator, out.point), reps,
+               out.uops, out.streamUopsPerSec);
 }
 
 /** Batch: materialize the trace once, then time pure replay. */
@@ -148,6 +165,31 @@ measureBatch(const sim::Session &simulator, PointResult &out,
         out.batchUopsPerSec = std::max(
             out.batchUopsPerSec, trace.size() / seconds(t0, t1));
     }
+}
+
+/** One steady_state point: a Table IV layer, streamed. */
+struct SteadyRow
+{
+    std::string engine;
+    u32 pattern = 4;
+    bool outputForwarding = false;
+    u64 uops = 0;
+    double streamUopsPerSec = 0;
+};
+
+/** Best of @p reps streamed GPT-L3 runs of @p row's design point. */
+void
+measureSteady(const sim::Session &simulator, SteadyRow &row, int reps)
+{
+    const auto job = simulator.job()
+                         .workload("GPT-L3")
+                         .engine(row.engine)
+                         .pattern(row.pattern)
+                         .outputForwarding(row.outputForwarding)
+                         .build();
+    VEGETA_ASSERT(job.has_value(), "invalid steady_state request");
+    streamRate(simulator, job->simulation, reps, row.uops,
+               row.streamUopsPerSec);
 }
 
 /** The trace_io row: one trace file written and read back, per op. */
@@ -392,6 +434,20 @@ main(int argc, char **argv)
                     telemetry_overhead_pct);
     }
 
+    std::vector<SteadyRow> steady = {{"VEGETA-S-16-2", 4, true},
+                                     {"VEGETA-S-16-2", 1, true},
+                                     {"VEGETA-D-1-2", 4, false},
+                                     {"VEGETA-D-1-2", 1, false}};
+    for (auto &row : steady) {
+        measureSteady(simulator, row, std::max(reps, 3));
+        std::printf("steady_state: GPT-L3 %-14s N=%u%s  %8zu uops  "
+                    "stream %7.2f Muops/s\n",
+                    row.engine.c_str(), row.pattern,
+                    row.outputForwarding ? " +OF" : "",
+                    static_cast<size_t>(row.uops),
+                    row.streamUopsPerSec / 1e6);
+    }
+
     // Best of at least five even in smoke mode: a round trip costs
     // ~40 ms, and the gate compares this row on its own.
     const TraceIoRow trace_io =
@@ -457,7 +513,19 @@ main(int argc, char **argv)
     }
     entry << "], \"single_stream_uops_per_sec_geomean\": "
           << batch_geomean << ", \"stream_uops_per_sec_geomean\": "
-          << stream_geomean << ", \"sweep\": {\"requests\": "
+          << stream_geomean << ", \"steady_state\": [";
+    for (std::size_t i = 0; i < steady.size(); ++i) {
+        const auto &row = steady[i];
+        entry << (i ? ", " : "")
+              << "{\"workload\": \"GPT-L3\", \"engine\": \""
+              << row.engine << "\", \"pattern\": " << row.pattern
+              << ", \"output_forwarding\": "
+              << (row.outputForwarding ? "true" : "false")
+              << ", \"uops\": " << row.uops
+              << ", \"stream_uops_per_sec\": " << row.streamUopsPerSec
+              << "}";
+    }
+    entry << "], \"sweep\": {\"requests\": "
           << grid.size() << ", \"threads\": " << sweep_threads
           << ", \"seconds\": " << sweep_secs
           << ", \"uops_per_sec\": " << sweep_uops / sweep_secs

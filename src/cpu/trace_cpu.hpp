@@ -24,6 +24,15 @@
  * FlatCycleMaps that keep their capacity across streams.  A memory
  * op's cache probes run as one CacheModel::probeSpan call ahead of
  * its serial issue loop (docs/REPLAY.md).
+ *
+ * Steady-state skip: once a loop iteration (the ops after one Branch
+ * up to the next) leaves the scheduler state exactly as it found it,
+ * shifted in time, the core stops scheduling the iterations that
+ * repeat it.  It still probes the cache for every line and compares
+ * each op with the repeated iteration; the first op that differs, or
+ * finish(), advances every time by the skipped iterations' shift.
+ * The results are bit-identical to scheduling every op
+ * (docs/REPLAY.md, "Steady-state skip").
  */
 
 #ifndef VEGETA_CPU_TRACE_CPU_HPP
@@ -31,6 +40,7 @@
 
 #include <array>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "cpu/cache.hpp"
@@ -82,6 +92,7 @@ class TraceCpu final : public TraceSink
      * of it that indexes a unit pool or ring.
      */
     TraceCpu(CoreConfig core, engine::EngineConfig engine);
+    ~TraceCpu() override;
 
     /**
      * Why @p core cannot be replayed, or nullopt: every field the
@@ -132,8 +143,26 @@ class TraceCpu final : public TraceSink
     static constexpr u32 kMaxWindow = 1u << 16;
     /** Longest line range whose cache probes are batched. */
     static constexpr u32 kProbeBatch = 64;
+    /** Longest segment (loop iteration) a skip repeats. */
+    static constexpr u32 kMaxSegment = 64;
+    /** Equal segments in a row before a skip is first attempted. */
+    static constexpr u32 kArmAfter = 6;
+    /** Cap on the run length a skip waits for after failures. */
+    static constexpr u64 kMaxArmAfter = u64{1} << 32;
+    /** Fewest segments a skip must be expected to advance. */
+    static constexpr u32 kMinSkip = 3;
 
     using UnitPool = std::array<Cycles, kMaxUnits>;
+
+    /** Where the steady-state skip stands. */
+    enum class Memo : u8
+    {
+        Off,       ///< scheduling; counting equal segments
+        Armed,     ///< snapshot the state at the next op
+        Recording, ///< scheduling the segment that may repeat
+        Recorded,  ///< compare the state with the snapshot
+        Skipping,  ///< matching segments against the recorded one
+    };
 
     Cycles toEngineCycles(Cycles core) const;
     Cycles toCoreCycles(Cycles eng) const;
@@ -145,10 +174,33 @@ class TraceCpu final : public TraceSink
     static Cycles acquireUnit(UnitPool &pool, u32 units,
                               Cycles earliest);
 
-    /** Issue [addr, addr+bytes) line by line; returns completion. */
+    /**
+     * Issue [addr, addr+bytes) line by line; returns completion.
+     * Takes the lines' latencies from probed_ when it is set.
+     */
     Cycles issueLineRange(Cycles earliest, Addr addr, u64 bytes);
     /** Mark every line of [addr, addr+bytes) store-owned. */
     void recordStoreRange(Cycles data_ready, Addr addr, u64 bytes);
+
+    // Steady-state skip (trace_cpu.cpp).  memoStep, recordOp and
+    // skipOp return false when step() is to schedule the op.  The
+    // rare paths stay out of line, so step()'s hot path stays as
+    // compact as a core without the skip.
+    [[gnu::noinline]] bool memoStep(const TraceOp &op);
+    void endSegment();
+    [[gnu::noinline]] void endRun(bool safe);
+    [[gnu::noinline]] void tryArm();
+    u64 segmentSignature(u64 hits) const;
+    bool segmentShape(const TraceOp &op, u64 &shape, u64 &first,
+                      u64 &lines) const;
+    u64 probeLines(u64 first, u64 lines, Cycles *latency);
+    bool recordOp(const TraceOp &op);
+    bool skipOp(const TraceOp &op);
+    void endSkip();
+    void backOff();
+    Cycles boundaryBase() const;
+    template <typename Word>
+    bool visitNormalizedState(Word &&word) const;
 
     CoreConfig core_;
     engine::EngineConfig engine_config_;
@@ -191,6 +243,16 @@ class TraceCpu final : public TraceSink
     u64 engine_instructions_ = 0;
     Cycles engine_last_finish_ = 0;
     u64 effectual_macs_ = 0;
+
+    // Steady-state skip.  Off, the per-op path pays one test of
+    // memo_ and each memory op one of probed_; the bookkeeping runs
+    // once per Branch.  The rest of its state lives on the heap, so
+    // a TraceCpu on the stack keeps its hot fields where they were.
+    Memo memo_ = Memo::Off;
+    /** Latencies of the next line range, probed ahead by the skip. */
+    const Cycles *probed_ = nullptr;
+    struct Skip;
+    std::unique_ptr<Skip> skip_;
 };
 
 } // namespace vegeta::cpu

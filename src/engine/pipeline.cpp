@@ -140,6 +140,46 @@ PipelineModel::reset()
     busy_until_ = 0;
 }
 
+std::array<u64, PipelineModel::kStateWords>
+PipelineModel::normalizedState(Cycles floor) const
+{
+    std::array<u64, kStateWords> words;
+    u64 *out = words.data();
+    // Every later start is >= floor, and issue() maxes stage exits
+    // and full-ready times into the start (less a non-negative
+    // offset), so neither wins at or below the floor.  An OF
+    // producer's FF is read only with OF, plus the forwarding delay.
+    const Cycles of_delay = config_.nRows() + config_.reductionDepth();
+    *out++ = any_issued_;
+    for (const Cycles exit : last_stage_exit_)
+        *out++ = std::max(exit, floor) - floor;
+    for (const Cycles ready : reg_full_ready_)
+        *out++ = ready == 0 ? 0 : std::max(ready, floor) - floor + 1;
+    for (const Cycles ff : reg_of_producer_ff_) {
+        // max(ff + of_delay, floor) - floor + 1, kept non-zero.
+        *out++ = ff == 0 || !output_forwarding_
+                     ? 0
+                     : std::max(ff + of_delay, floor) - floor + 1;
+    }
+    return words;
+}
+
+void
+PipelineModel::shift(Cycles delta)
+{
+    if (!any_issued_)
+        return;
+    for (Cycles &exit : last_stage_exit_)
+        exit += delta;
+    for (Cycles &ready : reg_full_ready_)
+        if (ready != 0)
+            ready += delta;
+    for (Cycles &ff : reg_of_producer_ff_)
+        if (ff != 0)
+            ff += delta;
+    busy_until_ += delta;
+}
+
 std::vector<ScheduledOp>
 PipelineModel::scheduleAll(const std::vector<isa::Instruction> &instrs)
 {

@@ -96,6 +96,23 @@ class PipelineModel
     /** Reset all scheduling state. */
     void reset();
 
+    /** Words normalizedState() writes. */
+    static constexpr u32 kStateWords = 1 + 4 + 2 * isa::kNumDepRegs;
+
+    /**
+     * The scheduling state as every later issue() sees it when no
+     * instruction starts before engine cycle @p floor, relative to
+     * the floor.  A time that can no longer win the max() it meets
+     * is clamped to that max()'s floor, and the never-written
+     * sentinel stays distinct.  Two states with equal words schedule
+     * any later instruction stream identically, shifted by the
+     * difference of their floors.
+     */
+    std::array<u64, kStateWords> normalizedState(Cycles floor) const;
+
+    /** Delay every stored time by @p delta engine cycles. */
+    void shift(Cycles delta);
+
     /** Convenience: schedule a whole instruction stream starting at 0,
      *  with only in-engine dependencies (used by timing studies). */
     std::vector<ScheduledOp>

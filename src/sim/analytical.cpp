@@ -151,18 +151,17 @@ writeCsv(std::ostream &os, const AnalyticalResult &result)
 AnalyticalRegistry &
 AnalyticalRegistry::add(const std::string &name,
                         const std::string &description, Backend backend,
-                        Check check)
+                        Inputs inputs, Check check)
 {
-    for (auto &entry : entries_) {
-        if (entry.name == name) {
-            entry.description = description;
-            entry.backend = std::move(backend);
-            entry.check = std::move(check);
+    Entry entry{name, description, std::move(backend),
+                std::move(inputs), std::move(check)};
+    for (auto &old : entries_) {
+        if (old.name == name) {
+            old = std::move(entry);
             return *this;
         }
     }
-    entries_.push_back(
-        {name, description, std::move(backend), std::move(check)});
+    entries_.push_back(std::move(entry));
     return *this;
 }
 
@@ -204,9 +203,32 @@ std::optional<std::string>
 AnalyticalRegistry::paramError(const EngineRegistry &engines,
                                const AnalyticalRequest &request) const
 {
-    for (const auto &entry : entries_)
-        if (entry.name == request.model && entry.check)
-            return entry.check(engines, request);
+    const auto it = std::find_if(
+        entries_.begin(), entries_.end(),
+        [&](const Entry &e) { return e.name == request.model; });
+    if (it == entries_.end())
+        return std::nullopt;
+    if (it->check)
+        if (auto error = it->check(engines, request))
+            return error;
+    // A name the backend never reads would silently run its default.
+    const auto unknown =
+        [&](const char *kind, const std::vector<std::string> &known,
+            const std::string &name) -> std::optional<std::string> {
+        if (std::find(known.begin(), known.end(), name) != known.end())
+            return std::nullopt;
+        std::string list;
+        for (const auto &k : known)
+            list += (list.empty() ? "" : ", ") + k;
+        return request.model + " has no " + kind + " '" + name + "' (" +
+               kind + "s: " + (list.empty() ? "none" : list) + ")";
+    };
+    for (const auto &[name, value] : request.params)
+        if (auto error = unknown("param", it->inputs.params, name))
+            return error;
+    for (const auto &[name, value] : request.options)
+        if (auto error = unknown("option", it->inputs.options, name))
+            return error;
     return std::nullopt;
 }
 
@@ -959,6 +981,7 @@ AnalyticalRegistry::builtin()
              "Figure 3: effective throughput vs weight density "
              "(roofline model)",
              rooflineBackend,
+             {{"vector_gflops", "matrix_gflops", "memory_gbs"}, {}},
              accepts({positive("vector_gflops"),
                       positive("matrix_gflops"),
                       positive("memory_gbs")}))
@@ -969,7 +992,10 @@ AnalyticalRegistry::builtin()
         .add("fig10-pipelining",
              "Figure 10: per-stage pipelined schedule of tile "
              "instructions on one engine",
-             pipeliningBackend, pipeliningCheck)
+             pipeliningBackend,
+             {{"dependent", "output_forwarding", "instructions"},
+              {"op"}},
+             pipeliningCheck)
         .add("fig14-area-power",
              "Figure 14: area/power normalized to RASA-SM plus max "
              "frequency",
@@ -977,18 +1003,18 @@ AnalyticalRegistry::builtin()
         .add("fig14-area-breakdown",
              "Figure 14 companion: component-level area breakdown "
              "per engine",
-             areaBreakdownBackend,
+             areaBreakdownBackend, {{"block_size"}, {}},
              accepts({{"block_size", 4, 16, ParamRange::PowerOfTwo}}))
         .add("fig15-unstructured",
              "Figure 15: speed-up of sparsity granularities on "
              "unstructured layers",
-             unstructuredBackend,
+             unstructuredBackend, {{"degree", "seed"}, {}},
              accepts({{"degree", 0, 0.99, ParamRange::Real},
                       kSeedRange}))
         .add("blocksize-coverage",
              "Block-size ablation: row-wise covering speed-up for "
              "M = 4/8/16",
-             blockSizeCoverageBackend,
+             blockSizeCoverageBackend, {{"rows", "cols", "trials"}, {}},
              // cols splits into 16 blocks of the largest M.
              accepts({{"rows", 1, 1024},
                       {"cols", 256, 4096, ParamRange::PowerOfTwo},
@@ -996,7 +1022,7 @@ AnalyticalRegistry::builtin()
         .add("blocksize-hardware",
              "Block-size ablation: physical cost of M = 4/8/16 "
              "normalized to RASA-SM",
-             blockSizeHardwareBackend,
+             blockSizeHardwareBackend, {{}, {"baseline"}},
              [](const EngineRegistry &engines,
                 const AnalyticalRequest &request)
                  -> std::optional<std::string> {
@@ -1011,18 +1037,19 @@ AnalyticalRegistry::builtin()
         .add("micro-latency",
              "Table III and Section V-C: per-engine geometry, stage "
              "latencies, isolated latency, and initiation interval",
-             microLatencyBackend,
+             microLatencyBackend, {{}, {"op"}},
              accepts({}, {{"op", {"gemm", "spmm_u", "spmm_v"}}}))
         .add("network-policy",
              "Section III-B: layer-wise vs network-wise N:M execution "
              "of whole sparse networks",
-             networkPolicyBackend,
+             networkPolicyBackend, {{"output_forwarding"}, {"network"}},
              accepts({}, {{"network",
                            {"resnet-front", "bert-encoder", "all"}}}))
         .add("dynamic-sparsity",
              "Section VII: SAVE-style register-compaction probability "
              "for vector vs tile registers",
              dynamicSparsityBackend,
+             {{"registers", "trials", "seed", "density"}, {}},
              accepts({{"registers", 1, 65536},
                       {"trials", 1, 65536},
                       {"density", 0, 1, ParamRange::Real},
@@ -1031,13 +1058,14 @@ AnalyticalRegistry::builtin()
              "Tuner stage 2: closed-form cycle/area estimate per "
              "(workload, engine) search point",
              tunePrefilterBackend,
+             {{"pattern", "of", "cblocking"}, {"kernel"}},
              accepts({{"pattern", 1, 4, ParamRange::PowerOfTwo},
                       {"cblocking", 1, 3}},
                      {{"kernel", {"optimized", "naive"}}}))
         .add("paper-fidelity",
              "The paper's headline, Figure 10/13/14/15 anchors next to "
              "the model's values, with relative errors and tolerances",
-             paperFidelityBackend,
+             paperFidelityBackend, {},
              [](const EngineRegistry &,
                 const AnalyticalRequest &request)
                  -> std::optional<std::string> {

@@ -132,9 +132,17 @@ class AnalyticalRegistry
     using Check = std::function<std::optional<std::string>(
         const EngineRegistry &, const AnalyticalRequest &)>;
 
+    /** The param and option names a backend reads. */
+    struct Inputs
+    {
+        std::vector<std::string> params;
+        std::vector<std::string> options;
+    };
+
     AnalyticalRegistry &add(const std::string &name,
                             const std::string &description,
-                            Backend backend, Check check = {});
+                            Backend backend, Inputs inputs = {},
+                            Check check = {});
 
     bool contains(const std::string &name) const;
 
@@ -147,8 +155,9 @@ class AnalyticalRegistry
     std::string description(const std::string &name) const;
 
     /**
-     * The model's Check on @p request (nullopt for an unknown model
-     * or one without a check).
+     * The model's Check on @p request, then any param or option name
+     * outside its Inputs (nullopt for an unknown model, or when both
+     * pass).
      */
     std::optional<std::string>
     paramError(const EngineRegistry &engines,
@@ -172,6 +181,7 @@ class AnalyticalRegistry
         std::string name;
         std::string description;
         Backend backend;
+        Inputs inputs;
         Check check;
     };
 

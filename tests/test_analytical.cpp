@@ -125,6 +125,35 @@ TEST(Analytical, ParamChecksRejectBeforeTheBackend)
          "vector_gflops"},
         {"paper-fidelity", {{"degree", 0.9}}, {}, {}, "no workloads"},
         {"paper-fidelity", {}, {}, {"VEGETA-S-2-2"}, "no workloads"},
+        // A name the backend never reads, one per model: each used to
+        // run the model's default silently.
+        {"fig3-roofline", {{"memory_gb", 1}}, {}, {},
+         "fig3-roofline has no param 'memory_gb' (params: "
+         "vector_gflops, matrix_gflops, memory_gbs)"},
+        {"fig4-vector-vs-matrix", {{"size", 64}}, {}, {},
+         "has no param 'size' (params: none)"},
+        {"fig10-pipelining", {}, {{"opcode", "gemm"}}, {},
+         "has no option 'opcode' (options: op)"},
+        {"fig14-area-power", {}, {{"engine", "x"}}, {},
+         "has no option 'engine' (options: none)"},
+        {"fig14-area-breakdown", {{"blocksize", 8}}, {}, {},
+         "has no param 'blocksize' (params: block_size)"},
+        {"fig15-unstructured", {{"degre", 0.9}}, {}, {},
+         "fig15-unstructured has no param 'degre' (params: degree, "
+         "seed)"},
+        {"blocksize-coverage", {{"row", 8}}, {}, {},
+         "has no param 'row'"},
+        {"blocksize-hardware", {}, {{"base", "VEGETA-D-1-1"}}, {},
+         "has no option 'base' (options: baseline)"},
+        {"micro-latency", {{"op", 1}}, {}, {},
+         "has no param 'op' (params: none)"},
+        {"network-policy", {}, {{"netwrok", "bert-encoder"}}, {},
+         "network-policy has no option 'netwrok' (options: network)"},
+        {"dynamic-sparsity", {{"register", 8}}, {}, {},
+         "has no param 'register'"},
+        {"tune-prefilter", {{"cblock", 2}}, {}, {},
+         "has no param 'cblock' (params: pattern, of, cblocking)"},
+        {"paper-fidelity", {}, {{"anchor", "x"}}, {}, "no workloads"},
     };
     for (const auto &b : bad) {
         AnalyticalRequest request;
@@ -175,6 +204,19 @@ TEST(Analytical, EveryDefaultAndBoundaryPassesItsCheck)
          {{"kernel", "naive"}}},
         {"network-policy", {}, {{"network", "all"}}},
         {"micro-latency", {}, {{"op", "spmm_v"}}},
+        // Every name a backend reads is accepted.
+        {"fig3-roofline",
+         {{"vector_gflops", 1}, {"matrix_gflops", 1}, {"memory_gbs", 1}},
+         {}},
+        {"fig10-pipelining",
+         {{"dependent", 1}, {"output_forwarding", 1}},
+         {}},
+        {"network-policy", {{"output_forwarding", 0}}, {}},
+        {"dynamic-sparsity",
+         {{"registers", 8}, {"trials", 8}, {"seed", 1}},
+         {}},
+        {"tune-prefilter", {{"of", 1}}, {}},
+        {"blocksize-hardware", {}, {{"baseline", "VEGETA-D-1-2"}}},
     };
     for (const auto &g : good) {
         AnalyticalRequest request;

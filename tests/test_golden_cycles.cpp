@@ -16,6 +16,7 @@
 
 #include <set>
 
+#include "sim/serial.hpp"
 #include "sim/session.hpp"
 #include "sim/telemetry.hpp"
 
@@ -266,6 +267,79 @@ TEST(GoldenCycles, TableIVHeadlineGeomeansArePinned)
                   pin.geomean)
             << "Table IV geomean must match bit for bit";
     }
+}
+
+TEST(GoldenCycles, TableIVFullGridIsPinned)
+{
+    // Every SimulationResult field of the default 540-job sweep (the
+    // 12 Table IV layers x every registered engine x 4:4 / 2:4 / 1:4,
+    // OF on and off for sparse engines) folded into one
+    // sim::serial::checksum.  The headline geomeans above touch only
+    // two engines; this reaches every engine's long k loops, where
+    // the replay core's steady-state skip does most of its work.
+    // Captured by running this test against the library at commit
+    // 011510f, before that skip existed.
+    const Session session;
+    std::vector<std::string> workloads;
+    for (const auto &w : session.workloads().group("tableIV"))
+        workloads.push_back(w.name);
+    const auto grid =
+        figure13Grid(session, workloads, session.engines().names());
+    ASSERT_EQ(grid.size(), 540u);
+
+    const telemetry::MetricsSnapshot before = telemetry::snapshot();
+    const auto results = session.runBatch(grid, 4);
+    const telemetry::MetricsSnapshot after = telemetry::snapshot();
+    ASSERT_EQ(results.size(), grid.size());
+    serial::FieldWriter record;
+    for (const SimulationResult &result : results)
+        serial::appendSimulationResult(record, result);
+    const u64 sum = serial::checksum(record.body());
+    EXPECT_EQ(sum, 0xac8dc73b71a91ee6ull)
+        << "checksum " << serial::hex16(sum);
+
+#ifndef VEGETA_NO_TELEMETRY
+    // The skip must keep firing: it advanced 64% of the sweep's
+    // replayed ops when it landed.
+    const u64 ops =
+        after.counter("replay.ops") - before.counter("replay.ops");
+    const u64 skipped = after.counter("replay.memo.ops") -
+                        before.counter("replay.memo.ops");
+    ASSERT_GT(ops, 0u);
+    EXPECT_GE(static_cast<double>(skipped) / ops, 0.55)
+        << skipped << " of " << ops << " ops skipped";
+#endif
+}
+
+TEST(GoldenCycles, SteadyStateSkipCoversGptL3)
+{
+    // GPT-L3 at 4:4 runs 384 identical k-iterations per C-tile group:
+    // all but the first few of each group must be skipped (97.1% of
+    // its ops when the skip landed).
+#ifdef VEGETA_NO_TELEMETRY
+    GTEST_SKIP() << "memo counters are compiled out";
+#else
+    const Session session;
+    const auto job = session.job()
+                         .workload("GPT-L3")
+                         .engine("VEGETA-S-16-2")
+                         .pattern(4)
+                         .outputForwarding(true)
+                         .build();
+    ASSERT_TRUE(job.has_value());
+    const telemetry::MetricsSnapshot before = telemetry::snapshot();
+    const SimulationResult result = session.run(job->simulation);
+    const telemetry::MetricsSnapshot after = telemetry::snapshot();
+    const auto delta = [&](const char *name) {
+        return after.counter(name) - before.counter(name);
+    };
+    EXPECT_EQ(delta("replay.ops"), result.instructions);
+    EXPECT_GE(static_cast<double>(delta("replay.memo.ops")) /
+                  result.instructions,
+              0.90);
+    EXPECT_GT(delta("replay.memo.hits"), 0u);
+    EXPECT_GT(delta("replay.memo.misses"), 0u);
+#endif
 }
 
 } // namespace

@@ -20,6 +20,13 @@
  * order of draws (including the per-round stream counts) are those
  * of the earlier lane-vs-single fuzz tests, so the streams are the
  * same ones those tests checked.
+ *
+ * The third suite aims at the core's steady-state skip: long-k
+ * kernel streams on random core configurations, with seeded
+ * divergences injected after the loop has settled, so a skip is cut
+ * short by every kind of op that may end one.  Its checksum was
+ * captured by compiling this file unchanged against the library at
+ * commit 011510f, before that skip existed, and running it once.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +35,7 @@
 #include "cpu/trace_cpu.hpp"
 #include "kernels/gemm_kernels.hpp"
 #include "sim/serial.hpp"
+#include "sim/telemetry.hpp"
 
 namespace vegeta::cpu {
 namespace {
@@ -150,6 +158,144 @@ TEST(ReplayFuzz, RandomKernelTracesMatchCapturedChecksum)
     const u64 sum = sim::serial::checksum(record.body());
     EXPECT_EQ(sum, 0x42a8599c498fe4d8ull)
         << "checksum " << sim::serial::hex16(sum);
+}
+
+/** Index of the first op at or after @p from of kind @p kind. */
+std::size_t
+findKind(const Trace &trace, std::size_t from, UopKind kind)
+{
+    while (from < trace.size() && trace[from].kind != kind)
+        ++from;
+    return from;
+}
+
+/**
+ * Inject one seeded divergence of kind @p what at an op index in the
+ * trace's last three quarters, where the k loops have settled.
+ */
+void
+perturb(Trace &trace, Rng &rng, u32 what)
+{
+    const std::size_t n = trace.size();
+    const std::size_t at = n / 4 + rng.nextBelow(n - n / 4);
+    const auto at_kind = [&](UopKind kind) {
+        return findKind(trace, at, kind);
+    };
+    const auto insert = [&](std::size_t pos, const TraceOp &op) {
+        trace.insert(trace.begin() + static_cast<long>(pos), op);
+    };
+    switch (what) {
+    case 0: // an extra scalar op
+        insert(at, TraceOp::alu());
+        break;
+    case 1: { // a tile load into another register
+        const std::size_t i = at_kind(UopKind::TileLoad);
+        if (i < n && trace[i].tile.op == isa::Opcode::TileLoadT)
+            trace[i].tile.dst =
+                isa::treg(static_cast<u8>(rng.nextBelow(8)));
+        break;
+    }
+    case 2: { // an unaligned tile load: one more line
+        const std::size_t i = at_kind(UopKind::TileLoad);
+        if (i < n)
+            trace[i].tile.addr += 32;
+        break;
+    }
+    case 3: { // a tile load re-reads the last one's lines: L1 hits
+        const std::size_t i = at_kind(UopKind::TileLoad);
+        for (std::size_t j = std::min(i, n); i < n && j-- > 0;) {
+            if (trace[j].kind == UopKind::TileLoad &&
+                trace[j].tile.op == trace[i].tile.op) {
+                trace[i].tile.addr = trace[j].tile.addr;
+                break;
+            }
+        }
+        break;
+    }
+    case 4: { // a store the next tile load aliases
+        const std::size_t i = at_kind(UopKind::TileLoad);
+        if (i < n)
+            insert(i, TraceOp::store(trace[i].tile.addr + 64, 8));
+        break;
+    }
+    case 5:
+        insert(at, TraceOp::vectorFma(
+                       static_cast<u32>(rng.nextBelow(3))));
+        break;
+    case 6: // a load over 64 lines
+        insert(at, TraceOp::load(0x5000'0000 + 64 * rng.nextBelow(64),
+                                 64 * 65 + 4));
+        break;
+    default: { // the stream ends inside a loop iteration
+        std::size_t cut = at;
+        while (cut > 1 && trace[cut - 1].kind == UopKind::Branch)
+            --cut;
+        trace.resize(cut);
+        break;
+    }
+    }
+}
+
+TEST(ReplayFuzz, SteadyStateStreamsMatchCapturedChecksum)
+{
+    Rng rng(0x57ead57a7eull);
+    static constexpr u32 kPatterns[] = {1, 2, 4};
+    static constexpr u32 kDividers[] = {1, 3, 4, 5};
+    static constexpr u32 kWays[] = {4, 6, 12};
+
+    const telemetry::MetricsSnapshot before = telemetry::snapshot();
+    sim::serial::FieldWriter record;
+    u64 ops = 0;
+    for (u32 s = 0; s < 240; ++s) {
+        const u32 pattern = kPatterns[rng.nextBelow(3)];
+        kernels::KernelOptions opts;
+        opts.traceOnly = true;
+        opts.optimized = rng.nextBelow(4) != 0;
+        opts.cBlocking = 1 + static_cast<u32>(rng.nextBelow(3));
+        const u32 k_iters = 8 + static_cast<u32>(rng.nextBelow(89));
+        const kernels::GemmDims dims{
+            16 * (1 + static_cast<u32>(rng.nextBelow(2))),
+            16 * (1 + static_cast<u32>(rng.nextBelow(4))),
+            kernels::kTileForN(pattern) * k_iters};
+        Trace trace = kernels::runSpmmKernel(dims, pattern, opts).trace;
+
+        CoreConfig core;
+        core.engineClockDivider = kDividers[rng.nextBelow(4)];
+        core.robEntries = 8 + static_cast<u32>(rng.nextBelow(90));
+        core.loadBufferEntries =
+            8 + static_cast<u32>(rng.nextBelow(89));
+        core.numLsuPorts = 1 + static_cast<u32>(rng.nextBelow(3));
+        core.cache.l1Ways = kWays[rng.nextBelow(3)];
+        core.outputForwarding = rng.nextBelow(2) == 0;
+        const bool dense = pattern == 4 && rng.nextBelow(2) == 0;
+
+        // One stream in six runs clean; the others take up to three
+        // divergences (the last draw may cut the stream short).
+        const u32 divergences =
+            s % 6 == 0 ? 0 : 1 + static_cast<u32>(rng.nextBelow(3));
+        for (u32 d = 0; d < divergences; ++d)
+            perturb(trace, rng, static_cast<u32>(rng.nextBelow(8)));
+
+        TraceCpu cpu(core, dense ? engine::vegetaD12()
+                                 : engine::vegetaS162());
+        const SimResult result = cpu.run(trace);
+        EXPECT_EQ(result.retiredOps, trace.size());
+        ops += trace.size();
+        appendResult(record, result);
+    }
+    const u64 sum = sim::serial::checksum(record.body());
+    EXPECT_EQ(sum, 0x39cfe06d44c2c005ull)
+        << "checksum " << sim::serial::hex16(sum);
+
+#ifndef VEGETA_NO_TELEMETRY
+    // The divergences must land on running skips, not beside them:
+    // a third of these ops were skipped when the skip landed.
+    const telemetry::MetricsSnapshot after = telemetry::snapshot();
+    const u64 skipped = after.counter("replay.memo.ops") -
+                        before.counter("replay.memo.ops");
+    EXPECT_GE(static_cast<double>(skipped) / ops, 0.25)
+        << skipped << " of " << ops << " ops skipped";
+#endif
 }
 
 } // namespace

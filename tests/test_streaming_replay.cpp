@@ -15,6 +15,7 @@
 #include "cpu/trace_io.hpp"
 #include "kernels/gemm_kernels.hpp"
 #include "kernels/vector_kernels.hpp"
+#include "sim/telemetry.hpp"
 
 namespace vegeta::cpu {
 namespace {
@@ -84,6 +85,38 @@ TEST(StreamingReplay, OneCpuIsReusableAcrossStreams)
     const SimResult small_again = cpu.run(small.trace);
     expectIdentical(small_first, small_again);
     EXPECT_NE(big_once.totalCycles, small_first.totalCycles);
+}
+
+TEST(StreamingReplay, SkippingCpuIsReusableAcrossStreams)
+{
+    // Long k loops engage the steady-state skip; a stream cut while
+    // it skips makes finish() end the skip.  Neither may leak into
+    // the next stream on the same core.
+    kernels::KernelOptions opts;
+    opts.traceOnly = true;
+    const Trace dense =
+        kernels::runSpmmKernel({32, 48, 32 * 64}, 4, opts).trace;
+    Trace cut =
+        kernels::runSpmmKernel({32, 32, 128 * 40}, 1, opts).trace;
+    cut.resize(cut.size() * 2 / 3 + 5);
+
+    const telemetry::MetricsSnapshot before = telemetry::snapshot();
+    TraceCpu reused({}, engine::vegetaS162());
+    std::vector<SimResult> results;
+    const Trace *streams[] = {&dense, &cut, &dense, &cut};
+    for (const Trace *trace : streams)
+        results.push_back(reused.run(*trace));
+    const telemetry::MetricsSnapshot after = telemetry::snapshot();
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        TraceCpu fresh({}, engine::vegetaS162());
+        expectIdentical(results[i],
+                        fresh.run(i % 2 == 0 ? dense : cut));
+    }
+#ifndef VEGETA_NO_TELEMETRY
+    EXPECT_GT(after.counter("replay.memo.ops"),
+              before.counter("replay.memo.ops"))
+        << "the streams no longer engage the skip";
+#endif
 }
 
 TEST(StreamingReplay, KernelEmitsIdenticalStreamIntoSink)
