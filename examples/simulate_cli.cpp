@@ -135,19 +135,16 @@ usage(std::ostream &os)
           "all)\n"
           "  --space NAME        search axes: full (default; adds the\n"
           "                      C-blocking axis) or figure13\n"
-          "  --strategy NAME     exhaustive (default) or halving\n"
           "  --budget N          replay confirmations (default 8,\n"
           "                      strictly honored)\n"
-          "  --analyses N        analytical scorings (0 = every valid\n"
-          "                      point, the default)\n"
-          "  --seed N            search seed (halving pool sampling)\n"
           "  --max-area X        reject designs above X area units\n"
+          "                      (engine::estimatePhysical units;\n"
+          "                      VEGETA-S-16-2 is 554.1)\n"
           "  --candidates        widen the engine axis with parametric\n"
           "                      512-MAC design candidates\n"
-          "  --no-cost-model     ignore the cache-trained cost model\n"
           "  --threads N         replay batch threads\n"
-          "  --cache-dir DIR     persistent cache (also the cost\n"
-          "                      model's training corpus)\n"
+          "  --cache-dir DIR     persistent cache (changes no report\n"
+          "                      byte)\n"
           "  --connect ADDR      confirm replays on a serve daemon\n"
           "  --trace-out FILE    write a Chrome trace_event span\n"
           "                      trace of the search\n"
@@ -841,7 +838,6 @@ cmdTune(const std::vector<std::string> &args)
 {
     bool quick = false;
     bool candidates = false;
-    bool cost_model = true;
     std::vector<std::string> workload_names, engine_names;
     std::string space_name = "full";
     std::string cache_dir, connect_addr;
@@ -860,18 +856,8 @@ cmdTune(const std::vector<std::string> &args)
               space_name = name;
               return name == "full" || name == "figure13";
           }},
-         {"--strategy", "exhaustive or halving",
-          [&](const std::string &name) {
-              const auto strategy = sim::parseTuneStrategy(name);
-              if (strategy)
-                  options.strategy = *strategy;
-              return strategy.has_value();
-          }},
          {"--budget", "a positive integer of replays",
           u32In(options.budget.replays, 1)},
-         {"--analyses", "a non-negative integer",
-          u64Of(options.budget.analyses)},
-         {"--seed", "a non-negative integer", u64Of(options.seed)},
          {"--max-area", "a positive number",
           [&](const std::string &text) {
               const auto area = parseDouble(text);
@@ -881,7 +867,6 @@ cmdTune(const std::vector<std::string> &args)
               return true;
           }},
          {"--candidates", kSwitch, assign(candidates, true)},
-         {"--no-cost-model", kSwitch, assign(cost_model, false)},
          {"--threads", "a positive integer", u32In(options.threads, 1)},
          {"--cache-dir", kText, store(cache_dir)},
          {"--connect", kText, store(connect_addr)},
@@ -905,7 +890,6 @@ cmdTune(const std::vector<std::string> &args)
         return 1;
     }
     options.connectAddress = connect_addr;
-    options.useCostModel = cost_model;
 
     // The candidate axis extends the registry BEFORE the session is
     // built so the analytical prefilter and the replay path resolve
@@ -958,19 +942,12 @@ cmdTune(const std::vector<std::string> &args)
 
     switch (format) {
       case OutputFormat::Text: {
-        std::cout << "strategy:        "
-                  << sim::tuneStrategyName(report.strategy)
-                  << " (seed " << report.seed << ")\n"
-                  << "search space:    " << report.rawPoints
+        std::cout << "search space:    " << report.rawPoints
                   << " raw, " << report.validPoints << " valid, "
                   << report.rejectedPoints << " rejected\n"
                   << "funnel:          " << report.analyzedPoints
                   << " analyzed -> " << report.replayedPoints
-                  << " replayed\n"
-                  << "cost model:      "
-                  << (report.costModelUsed ? "trained" : "unused")
-                  << " (" << report.costModelSamples
-                  << " cached samples)\n";
+                  << " replayed\n";
         if (const auto *best = report.best()) {
             std::cout << "best:            "
                       << sim::tunePointKey(best->point) << "\n"

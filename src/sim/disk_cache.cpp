@@ -366,25 +366,6 @@ DiskResultCache::size() const
     return entries_.size() + analyses_.size();
 }
 
-std::vector<std::pair<std::string, SimulationResult>>
-DiskResultCache::simulationEntries() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::pair<std::string, SimulationResult>> out;
-    out.reserve(entries_.size());
-    // Walk the append order, not the hash map: the harvest must be
-    // deterministic for a given cache file so cost-model training
-    // (and therefore tuner ranking) is reproducible.
-    for (const auto &[kind, key] : order_) {
-        if (kind != RecordKind::Simulation)
-            continue;
-        const auto it = entries_.find(key);
-        if (it != entries_.end())
-            out.emplace_back(key, it->second);
-    }
-    return out;
-}
-
 void
 DiskResultCache::clear()
 {

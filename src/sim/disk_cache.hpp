@@ -128,14 +128,6 @@ class DiskResultCache
     /** Total cached entries (simulation + analysis). */
     std::size_t size() const;
 
-    /**
-     * Every cached simulation entry as (canonical cacheKey, result)
-     * pairs, in append order -- the deterministic training harvest
-     * of the tuner's cost model (sim/cost_model.hpp).
-     */
-    std::vector<std::pair<std::string, SimulationResult>>
-    simulationEntries() const;
-
     /** Drop every entry and truncate the backing file. */
     void clear();
 

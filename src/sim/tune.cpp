@@ -1,15 +1,15 @@
 #include "sim/tune.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <map>
+#include <numeric>
 #include <ostream>
+#include <string_view>
+#include <tuple>
 
 #include "common/logging.hpp"
-#include "common/random.hpp"
 #include "sim/client.hpp"
-#include "sim/cost_model.hpp"
 #include "sim/session.hpp"
 #include "sim/telemetry.hpp"
 
@@ -27,14 +27,6 @@ formatDouble(double value)
 }
 
 bool
-candidateScoreLess(const TuneCandidate &a, const TuneCandidate &b)
-{
-    if (a.predictedCyclesPerMac != b.predictedCyclesPerMac)
-        return a.predictedCyclesPerMac < b.predictedCyclesPerMac;
-    return tunePointKey(a.point) < tunePointKey(b.point);
-}
-
-bool
 candidateMeasuredLess(const TuneCandidate &a, const TuneCandidate &b)
 {
     if (a.measuredCyclesPerMac != b.measuredCyclesPerMac)
@@ -43,12 +35,54 @@ candidateMeasuredLess(const TuneCandidate &a, const TuneCandidate &b)
 }
 
 /** Calibration group: points the estimator errs on the same way. */
-std::string
+using CalibrationGroup =
+    std::tuple<std::string_view, u32, bool, KernelVariant>;
+
+CalibrationGroup
 calibrationGroup(const TunePoint &point)
 {
-    return point.engine + "|" + std::to_string(point.patternN) + "|" +
-           (point.outputForwarding ? "1" : "0") + "|" +
-           kernelVariantName(point.kernel);
+    return {point.engine, point.patternN, point.outputForwarding,
+            point.kernel};
+}
+
+/**
+ * Rescale every estimate not yet replayed by the mean measured /
+ * estimated ratio of its calibration group's replays, or of all
+ * replays when its group has none.
+ */
+void
+recalibrate(std::vector<TuneCandidate> &scored)
+{
+    std::map<CalibrationGroup, std::pair<double, u64>> group_ratio;
+    double global_ratio_sum = 0.0;
+    u64 global_ratio_count = 0;
+    for (const auto &candidate : scored) {
+        if (!candidate.replayed || candidate.estCyclesPerMac <= 0.0)
+            continue;
+        const double ratio =
+            candidate.measuredCyclesPerMac / candidate.estCyclesPerMac;
+        auto &entry = group_ratio[calibrationGroup(candidate.point)];
+        entry.first += ratio;
+        entry.second += 1;
+        global_ratio_sum += ratio;
+        global_ratio_count += 1;
+    }
+    if (global_ratio_count == 0)
+        return;
+    const double global_ratio =
+        global_ratio_sum / double(global_ratio_count);
+    for (auto &candidate : scored) {
+        if (candidate.replayed)
+            continue;
+        const auto entry =
+            group_ratio.find(calibrationGroup(candidate.point));
+        const double ratio =
+            entry != group_ratio.end()
+                ? entry->second.first / double(entry->second.second)
+                : global_ratio;
+        candidate.predictedCyclesPerMac =
+            candidate.estCyclesPerMac * ratio;
+    }
 }
 
 SimulationRequest
@@ -62,8 +96,8 @@ requestFor(const Session &session, const TunePoint &point)
                        .kernel(point.kernel)
                        .cBlocking(point.cBlocking);
     auto job = builder.build();
-    VEGETA_ASSERT(job.has_value(), "tuner replayed invalid point: %s",
-                  builder.error().c_str());
+    VEGETA_ASSERT(job.has_value(), "tuner replayed invalid point: ",
+                  builder.error());
     return std::move(job->simulation);
 }
 
@@ -109,55 +143,17 @@ writeCandidateJson(std::ostream &os, const TuneCandidate &c)
 
 } // namespace
 
-const char *
-tuneStrategyName(TuneStrategy strategy)
-{
-    switch (strategy) {
-    case TuneStrategy::CappedExhaustive:
-        return "exhaustive";
-    case TuneStrategy::RandomHalving:
-        return "halving";
-    }
-    return "unknown";
-}
-
-std::optional<TuneStrategy>
-parseTuneStrategy(const std::string &name)
-{
-    if (name == "exhaustive")
-        return TuneStrategy::CappedExhaustive;
-    if (name == "halving")
-        return TuneStrategy::RandomHalving;
-    return std::nullopt;
-}
-
 Tuner::Tuner(const Session &session, TuneOptions options)
     : session_(session), options_(std::move(options))
 {
 }
 
 std::vector<TuneCandidate>
-Tuner::scoreCandidates(const std::vector<TunePoint> &valid,
-                       u64 analysis_cap, TuneReport &report) const
+Tuner::scoreCandidates(std::vector<TunePoint> valid) const
 {
-    // Train the optional cost model off the persistent cache once per
-    // search.  Below the sample threshold the prefilter rules alone.
-    std::optional<CostModel> model;
-    if (options_.useCostModel && session_.diskCache()) {
-        const auto samples =
-            harvestCostSamples(session_, *session_.diskCache());
-        report.costModelSamples = samples.size();
-        if (samples.size() >= kMinCostSamples)
-            model = CostModel::fit(samples);
-    }
-    report.costModelUsed = model.has_value();
-    if (model)
-        report.costModelRmse = model->trainRmse();
-
     std::vector<TuneCandidate> scored;
-    for (const auto &point : valid) {
-        if (scored.size() >= analysis_cap)
-            break;
+    scored.reserve(valid.size());
+    for (auto &point : valid) {
         // The estimator itself, not the "tune-prefilter" backend that
         // serves `analyze`: a scored point is no analysis to count or
         // to persist in the disk cache.
@@ -171,22 +167,12 @@ Tuner::scoreCandidates(const std::vector<TunePoint> &valid,
             point.outputForwarding, naive, point.cBlocking);
 
         TuneCandidate candidate;
-        candidate.point = point;
+        candidate.point = std::move(point);
         candidate.estCyclesPerMac = est.estCyclesPerMac;
         candidate.areaUnits = est.areaUnits;
         candidate.predictedCyclesPerMac = est.estCyclesPerMac;
-
-        if (model) {
-            const auto x = CostModel::features(
-                workload->gemm, *engine, point.patternN,
-                point.outputForwarding, naive, point.cBlocking);
-            candidate.predictedCyclesPerMac =
-                std::exp2(model->predictLog2Cycles(x)) /
-                double(workload->gemm.macs());
-        }
         scored.push_back(std::move(candidate));
     }
-    report.analyzedPoints = scored.size();
     return scored;
 }
 
@@ -217,10 +203,8 @@ Tuner::replayCandidates(std::vector<TuneCandidate *> &picks) const
             }
         }
         if (results.empty())
-            VEGETA_WARN("tune: service %s unavailable (%s); "
-                        "confirming locally",
-                        options_.connectAddress.c_str(),
-                        error.c_str());
+            VEGETA_WARN("tune: service ", options_.connectAddress,
+                        " unavailable (", error, "); confirming locally");
     }
     if (results.empty())
         results = session_.runBatch(requests, options_.threads);
@@ -245,8 +229,6 @@ TuneReport
 Tuner::run(const TuneSpace &space) const
 {
     TuneReport report;
-    report.strategy = options_.strategy;
-    report.seed = options_.seed;
     report.budget = options_.budget;
     report.rawPoints = space.rawSize();
 
@@ -259,18 +241,30 @@ Tuner::run(const TuneSpace &space) const
 
     // Stage 1: validity.  Canonical key order makes every later
     // ranking (and therefore the report bytes) independent of
-    // enumeration details.
+    // enumeration details, and a point that a repeated axis entry
+    // enumerates twice is kept once.  Each key is built once, not
+    // once per sort comparison.
     const u64 validity_start = telemetry::nowNs();
     std::vector<TunePoint> valid;
     {
         telemetry::Span span("tune.validity", report.rawPoints);
-        for (auto &point : space.enumerate())
-            if (!invalidReason(session_, space, point))
-                valid.push_back(std::move(point));
-        std::sort(valid.begin(), valid.end(),
-                  [](const TunePoint &a, const TunePoint &b) {
-                      return tunePointKey(a) < tunePointKey(b);
+        std::vector<TunePoint> points;
+        std::vector<std::string> keys;
+        for (auto &point : space.enumerate()) {
+            if (invalidReason(session_, space, point))
+                continue;
+            keys.push_back(tunePointKey(point));
+            points.push_back(std::move(point));
+        }
+        std::vector<std::size_t> order(points.size());
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        std::sort(order.begin(), order.end(),
+                  [&](std::size_t a, std::size_t b) {
+                      return keys[a] < keys[b];
                   });
+        for (std::size_t n = 0; n < order.size(); ++n)
+            if (n == 0 || keys[order[n]] != keys[order[n - 1]])
+                valid.push_back(std::move(points[order[n]]));
     }
     const u64 validity_ns = telemetry::nowNs() - validity_start;
     telemetry::recordNs(validity_timer, validity_ns);
@@ -278,110 +272,53 @@ Tuner::run(const TuneSpace &space) const
     report.validPoints = valid.size();
     report.rejectedPoints = report.rawPoints - report.validPoints;
 
-    const u64 analysis_cap = options_.budget.analyses == 0
-                                 ? u64(valid.size())
-                                 : options_.budget.analyses;
-
-    // Stage 2 candidate set: everything (exhaustive) or a seeded
-    // random pool sized to the replay budget (halving).
+    // Stage 2: score every valid point, still in key order.
     const u64 analyze_start = telemetry::nowNs();
     telemetry::Span analyze_span("tune.analyze", valid.size());
-    std::vector<TuneCandidate> scored;
-    if (options_.strategy == TuneStrategy::RandomHalving &&
-        !valid.empty()) {
-        const u64 pool_target =
-            std::min<u64>(valid.size(),
-                          std::max<u64>(1, options_.budget.replays) * 8);
-        Rng rng(options_.seed);
-        const auto picks =
-            rng.choose(u32(valid.size()), u32(pool_target));
-        std::vector<TunePoint> pool;
-        pool.reserve(picks.size());
-        for (u32 index : picks)
-            pool.push_back(valid[index]);
-        scored = scoreCandidates(pool, analysis_cap, report);
-    } else {
-        scored = scoreCandidates(valid, analysis_cap, report);
-    }
+    std::vector<TuneCandidate> scored =
+        scoreCandidates(std::move(valid));
+    report.analyzedPoints = scored.size();
     analyze_span.close();
     const u64 analyze_ns = telemetry::nowNs() - analyze_start;
     telemetry::recordNs(analyze_timer, analyze_ns);
     report.analyzeMs = double(analyze_ns) / 1e6;
 
-    // Stage 3: replay confirmation, strictly bounded by the budget.
+    // Stage 3: two replay rounds, strictly bounded by the budget.
+    // The first takes the top half of the budget from the
+    // prefilter's ranking; the second spends the rest on the ranking
+    // recalibrated against those measurements.  Ties rank by index,
+    // which is key order.
     const u64 replay_start = telemetry::nowNs();
     telemetry::Span replay_span("tune.replay",
                                 options_.budget.replays);
-    u32 replays_left = options_.budget.replays;
-    if (options_.strategy == TuneStrategy::CappedExhaustive) {
-        std::sort(scored.begin(), scored.end(), candidateScoreLess);
+    std::vector<std::size_t> ranking(scored.size());
+    std::iota(ranking.begin(), ranking.end(), std::size_t{0});
+    const auto rank = [&](std::size_t from) {
+        std::sort(ranking.begin() + from, ranking.end(),
+                  [&](std::size_t a, std::size_t b) {
+                      const double pa = scored[a].predictedCyclesPerMac;
+                      const double pb = scored[b].predictedCyclesPerMac;
+                      return pa != pb ? pa < pb : a < b;
+                  });
+    };
+    const auto replay = [&](std::size_t from, std::size_t to) {
         std::vector<TuneCandidate *> picks;
-        for (auto &candidate : scored) {
-            if (picks.size() >= replays_left)
-                break;
-            picks.push_back(&candidate);
-        }
+        for (std::size_t i = from; i < to; ++i)
+            picks.push_back(&scored[ranking[i]]);
         replayCandidates(picks);
-        report.replayedPoints = picks.size();
-    } else {
-        // Successive halving: spend the budget over shrinking rounds
-        // (R/2, R/4, ..., 1), recalibrating the analytical ranking
-        // against each round's measurements so later rounds chase the
-        // estimator's corrected ordering, not its raw one.
-        std::map<std::string, std::pair<double, u64>> group_ratio;
-        double global_ratio_sum = 0.0;
-        u64 global_ratio_count = 0;
-        while (replays_left > 0) {
-            std::vector<TuneCandidate *> unreplayed;
-            for (auto &candidate : scored)
-                if (!candidate.replayed)
-                    unreplayed.push_back(&candidate);
-            if (unreplayed.empty())
-                break;
-            std::sort(unreplayed.begin(), unreplayed.end(),
-                      [](const TuneCandidate *a,
-                         const TuneCandidate *b) {
-                          return candidateScoreLess(*a, *b);
-                      });
-            const u32 round = std::min<u32>(
-                u32(unreplayed.size()),
-                std::max<u32>(1, replays_left / 2));
-            std::vector<TuneCandidate *> picks(
-                unreplayed.begin(), unreplayed.begin() + round);
-            replayCandidates(picks);
-            replays_left -= round;
-            report.replayedPoints += round;
-
-            for (const TuneCandidate *candidate : picks) {
-                if (candidate->estCyclesPerMac <= 0.0)
-                    continue;
-                const double ratio = candidate->measuredCyclesPerMac /
-                                     candidate->estCyclesPerMac;
-                auto &entry =
-                    group_ratio[calibrationGroup(candidate->point)];
-                entry.first += ratio;
-                entry.second += 1;
-                global_ratio_sum += ratio;
-                global_ratio_count += 1;
-            }
-            if (global_ratio_count == 0)
-                continue;
-            const double global_ratio =
-                global_ratio_sum / double(global_ratio_count);
-            for (auto &candidate : scored) {
-                if (candidate.replayed)
-                    continue;
-                const auto entry =
-                    group_ratio.find(calibrationGroup(candidate.point));
-                const double ratio = entry != group_ratio.end()
-                                         ? entry->second.first /
-                                               double(entry->second.second)
-                                         : global_ratio;
-                candidate.predictedCyclesPerMac =
-                    candidate.estCyclesPerMac * ratio;
-            }
-        }
+    };
+    const std::size_t budget = options_.budget.replays;
+    const std::size_t first_round = std::min<std::size_t>(
+        {scored.size(), budget, std::max<std::size_t>(1, budget / 2)});
+    const std::size_t replayed = std::min(scored.size(), budget);
+    rank(0);
+    replay(0, first_round);
+    if (replayed > first_round) {
+        recalibrate(scored);
+        rank(first_round);
+        replay(first_round, replayed);
     }
+    report.replayedPoints = replayed;
 
     replay_span.close();
     const u64 replay_ns = telemetry::nowNs() - replay_start;
@@ -401,21 +338,13 @@ void
 writeJson(std::ostream &os, const TuneReport &report)
 {
     os << "{\n";
-    os << "  \"strategy\": \"" << tuneStrategyName(report.strategy)
-       << "\",\n";
-    os << "  \"seed\": " << report.seed << ",\n";
     os << "  \"budget\": {\"replays\": " << report.budget.replays
-       << ", \"analyses\": " << report.budget.analyses << "},\n";
+       << "},\n";
     os << "  \"raw_points\": " << report.rawPoints << ",\n";
     os << "  \"valid_points\": " << report.validPoints << ",\n";
     os << "  \"rejected_points\": " << report.rejectedPoints << ",\n";
     os << "  \"analyzed_points\": " << report.analyzedPoints << ",\n";
     os << "  \"replayed_points\": " << report.replayedPoints << ",\n";
-    os << "  \"cost_model\": {\"used\": "
-       << (report.costModelUsed ? "true" : "false")
-       << ", \"samples\": " << report.costModelSamples
-       << ", \"train_rmse\": " << formatDouble(report.costModelRmse)
-       << "},\n";
     os << "  \"best\": ";
     if (const TuneCandidate *best = report.best())
         writeCandidateJson(os, *best);

@@ -9,36 +9,32 @@
  *  1. validity -- every raw point of the TuneSpace passes the cheap
  *     structural predicates of sim/tune_space.hpp; infeasible points
  *     are rejected with a reason and cost a few integer checks.
- *  2. analytical prefilter -- surviving points are scored by the
+ *  2. analytical prefilter -- every surviving point is scored by the
  *     closed-form prefilterEstimate() of sim/tune_space.hpp (the same
  *     function the "tune-prefilter" backend serves to `analyze`) and
- *     ranked by estimated cycles per MAC.  When a persistent cache
- *     holds enough prior simulations (sim/cost_model.hpp), a ridge
- *     cost model trained on those records re-ranks the estimates.
- *  3. replay confirmation -- only the top-ranked points, strictly
- *     bounded by TuneBudget::replays, run the real cycle model via
- *     Session::runBatch (inheriting thread pooling and both caches) or
- *     via a SimClient when an address is configured.
+ *     ranked by estimated cycles per MAC.
+ *  3. replay confirmation -- at most TuneBudget::replays points run
+ *     the real cycle model via Session::runBatch (inheriting thread
+ *     pooling and both caches) or via a SimClient when an address is
+ *     configured.  They run in two rounds: the top half of the budget
+ *     (at least one point) straight from the ranking, then the rest
+ *     from the ranking rescaled by the first round's measured /
+ *     estimated ratios, so a systematic prefilter bias on some
+ *     engine/pattern/OF/kernel group is corrected before the budget
+ *     is spent.
  *
- * Two search strategies share this funnel: CappedExhaustive scores
- * every valid point before confirming, RandomHalving samples a seeded
- * random pool and spends the replay budget over successive-halving
- * rounds, recalibrating the analytical ranking against measurements
- * between rounds.
- *
- * Determinism contract: for a fixed space, options, and persistent
- * cache state, run() -- and the byte stream of writeJson/writeCsv --
- * is identical for any thread count and execution path (local or
- * service), because replay itself is bit-deterministic and every
- * ranking step sorts with a total order (ties broken by
- * tunePointKey).
+ * Determinism contract: for a fixed space and options, run() -- and
+ * the byte stream of writeJson/writeCsv -- is identical for any
+ * thread count, execution path (local or service) and cache state,
+ * because replay itself is bit-deterministic, caches only memoize
+ * it, and every ranking step sorts with a total order (ties broken
+ * by tunePointKey).
  */
 
 #ifndef VEGETA_SIM_TUNE_HPP
 #define VEGETA_SIM_TUNE_HPP
 
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,52 +44,23 @@ namespace vegeta::sim {
 
 class Session;
 
-/** How the tuner spends its budget. */
-enum class TuneStrategy
-{
-    /** Score every valid point, replay the top of the ranking. */
-    CappedExhaustive,
-
-    /** Seeded random pool + successive-halving replay rounds. */
-    RandomHalving,
-};
-
-const char *tuneStrategyName(TuneStrategy strategy);
-
-/** Parse a strategy name ("exhaustive" / "halving"). */
-std::optional<TuneStrategy>
-parseTuneStrategy(const std::string &name);
-
 /** Explicit evaluation budget; replays are the scarce resource. */
 struct TuneBudget
 {
     /** Max cycle-model confirmations (strictly honored). */
     u32 replays = 8;
-
-    /** Max analytical scorings; 0 = every valid point. */
-    u64 analyses = 0;
 };
 
 /** Everything run() needs besides the space. */
 struct TuneOptions
 {
-    TuneStrategy strategy = TuneStrategy::CappedExhaustive;
     TuneBudget budget;
-
-    /** PRNG seed (RandomHalving pool sampling). */
-    u64 seed = 1;
 
     /** Replay batch threads (0 = hardware concurrency). */
     u32 threads = 0;
 
     /** When non-empty, confirm replays on this sim service address. */
     std::string connectAddress;
-
-    /**
-     * Consult the cache-trained cost model when the session's
-     * persistent cache holds >= kMinCostSamples eligible records.
-     */
-    bool useCostModel = true;
 };
 
 /** One scored (and possibly confirmed) search point. */
@@ -104,7 +71,11 @@ struct TuneCandidate
     /** Closed-form prefilter estimate (stage 2). */
     double estCyclesPerMac = 0.0;
 
-    /** Cost-model re-ranked estimate (= est when model unused). */
+    /**
+     * The estimate the second replay round ranked by: est rescaled by
+     * the first round's measured/estimated ratio (= est for points
+     * the first round replayed, or when no second round ran).
+     */
     double predictedCyclesPerMac = 0.0;
 
     double areaUnits = 0.0;
@@ -119,13 +90,11 @@ struct TuneCandidate
 /** The full, serializable outcome of one search. */
 struct TuneReport
 {
-    TuneStrategy strategy = TuneStrategy::CappedExhaustive;
-    u64 seed = 1;
     TuneBudget budget;
 
     u64 rawPoints = 0;      ///< |space cross product|
-    u64 validPoints = 0;    ///< survived the validity predicates
-    u64 rejectedPoints = 0; ///< rawPoints - validPoints
+    u64 validPoints = 0;    ///< distinct points passing the predicates
+    u64 rejectedPoints = 0; ///< invalid or repeated raw points
     u64 analyzedPoints = 0; ///< analytically scored (stage 2)
     u64 replayedPoints = 0; ///< cycle-model confirmations (stage 3)
 
@@ -138,10 +107,6 @@ struct TuneReport
     double validityMs = 0.0;
     double analyzeMs = 0.0;
     double replayMs = 0.0;
-
-    bool costModelUsed = false;
-    u64 costModelSamples = 0; ///< harvested cache records
-    double costModelRmse = 0.0;
 
     /**
      * Replayed candidates, best (lowest measured cycles/MAC) first,
@@ -184,8 +149,7 @@ class Tuner
 
   private:
     std::vector<TuneCandidate>
-    scoreCandidates(const std::vector<TunePoint> &valid,
-                    u64 analysis_cap, TuneReport &report) const;
+    scoreCandidates(std::vector<TunePoint> valid) const;
 
     void replayCandidates(std::vector<TuneCandidate *> &picks) const;
 

@@ -1,24 +1,21 @@
 /**
  * @file
- * sim::Tuner and its search-space / cost-model helpers.
+ * sim::Tuner and its search-space helpers.
  *
  * Pins the funnel's contracts: the validity predicates are
  * conservative (they never reject a configuration the Figure 13 /
  * Table IV evaluation actually runs), budgets are strictly honored,
- * seeded search is bit-deterministic across thread counts,
- * the capped-exhaustive strategy on the 45-point figure13 space finds
- * the same optimum as a full-replay sweep, and the ridge cost model
- * round-trips both a synthetic monotone space and a real cache record.
+ * a repeated axis entry spends no replay twice, the report is
+ * bit-identical across thread counts and cache states, and the
+ * two-round search finds the full-replay optimum on the figure13
+ * space and on ResNet50-L3's full space at budget 8.
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <filesystem>
 #include <sstream>
 
-#include "sim/cache.hpp"
-#include "sim/cost_model.hpp"
 #include "sim/session.hpp"
 #include "sim/tune.hpp"
 
@@ -123,41 +120,49 @@ TEST(Tuner, ReplayBudgetStrictlyHonored)
     Session session;
     session.enableCache();
     const auto space = TuneSpace::full(session, {"quick-small"});
-    for (const auto strategy : {TuneStrategy::CappedExhaustive,
-                                TuneStrategy::RandomHalving}) {
-        for (const u32 replays : {1u, 3u, 5u, 8u}) {
-            TuneOptions options;
-            options.strategy = strategy;
-            options.budget.replays = replays;
-            options.threads = 1;
-            const auto report = Tuner(session, options).run(space);
-            SCOPED_TRACE(std::string(tuneStrategyName(strategy)) +
-                         " budget " + std::to_string(replays));
-            EXPECT_LE(report.replayedPoints, replays);
-            EXPECT_GE(report.replayedPoints, 1u);
-            EXPECT_EQ(report.confirmed.size(),
-                      report.replayedPoints);
-            EXPECT_EQ(report.rawPoints,
-                      report.validPoints + report.rejectedPoints);
-            ASSERT_NE(report.best(), nullptr);
-            EXPECT_TRUE(report.best()->replayed);
-        }
+    for (const u32 replays : {1u, 2u, 3u, 8u}) {
+        TuneOptions options;
+        options.budget.replays = replays;
+        options.threads = 1;
+        const auto report = Tuner(session, options).run(space);
+        SCOPED_TRACE("budget " + std::to_string(replays));
+        EXPECT_EQ(report.replayedPoints, replays);
+        EXPECT_EQ(report.confirmed.size(), report.replayedPoints);
+        EXPECT_EQ(report.analyzedPoints, report.validPoints);
+        EXPECT_EQ(report.rawPoints,
+                  report.validPoints + report.rejectedPoints);
+        ASSERT_NE(report.best(), nullptr);
+        EXPECT_TRUE(report.best()->replayed);
     }
 }
 
-TEST(Tuner, AnalysisBudgetCapsStageTwo)
+TEST(Tuner, RepeatedWorkloadSpendsNoReplayTwice)
 {
+    // A workload named twice enumerates every point twice; the
+    // search keeps one of each, so it confirms what one name does.
     Session session;
     session.enableCache();
-    const auto space = TuneSpace::full(session, {"quick-small"});
     TuneOptions options;
-    options.budget.replays = 2;
-    options.budget.analyses = 10;
+    options.budget.replays = 4;
     options.threads = 1;
-    const auto report = Tuner(session, options).run(space);
-    EXPECT_LE(report.analyzedPoints, 10u);
-    EXPECT_LE(report.replayedPoints, 2u);
-    ASSERT_NE(report.best(), nullptr);
+    const auto once =
+        Tuner(session, options)
+            .run(TuneSpace::full(session, {"quick-small"}));
+    const auto twice =
+        Tuner(session, options)
+            .run(TuneSpace::full(session,
+                                 {"quick-small", "quick-small"}));
+    EXPECT_EQ(twice.rawPoints, 2 * once.rawPoints);
+    EXPECT_EQ(twice.validPoints, once.validPoints);
+    EXPECT_EQ(twice.rawPoints,
+              twice.validPoints + twice.rejectedPoints);
+    ASSERT_EQ(twice.confirmed.size(), once.confirmed.size());
+    for (std::size_t i = 0; i < once.confirmed.size(); ++i) {
+        EXPECT_EQ(tunePointKey(twice.confirmed[i].point),
+                  tunePointKey(once.confirmed[i].point));
+        EXPECT_EQ(twice.confirmed[i].measuredCoreCycles,
+                  once.confirmed[i].measuredCoreCycles);
+    }
 }
 
 TEST(Tuner, DiskCacheKeepsOnlyTheReplays)
@@ -189,16 +194,14 @@ TEST(Tuner, DiskCacheKeepsOnlyTheReplays)
 
 // --- determinism -----------------------------------------------------
 
-TEST(Tuner, SeededHalvingIdenticalAcrossThreads)
+TEST(Tuner, ReportIdenticalAcrossThreads)
 {
     const auto search = [](u32 threads) {
         Session session; // fresh per run: equal cache state
         const auto space =
             TuneSpace::full(session, {"quick-small"});
         TuneOptions options;
-        options.strategy = TuneStrategy::RandomHalving;
         options.budget.replays = 6;
-        options.seed = 7;
         options.threads = threads;
         return reportJson(Tuner(session, options).run(space));
     };
@@ -207,27 +210,37 @@ TEST(Tuner, SeededHalvingIdenticalAcrossThreads)
     EXPECT_EQ(baseline, search(2));
 }
 
-TEST(Tuner, DifferentSeedsMayDrawDifferentPoolsButStayValid)
+TEST(Tuner, WarmCacheChangesNoReportByte)
 {
-    Session session;
-    session.enableCache();
-    const auto space = TuneSpace::full(session, {"quick-small"});
-    for (const u64 seed : {1u, 2u, 99u}) {
-        TuneOptions options;
-        options.strategy = TuneStrategy::RandomHalving;
-        options.budget.replays = 3;
-        options.seed = seed;
-        options.threads = 1;
-        const auto report = Tuner(session, options).run(space);
-        ASSERT_NE(report.best(), nullptr);
-        EXPECT_FALSE(
-            invalidReason(session, space, report.best()->point));
+    // A persistent cache full of earlier replays only memoizes: the
+    // report is the cacheless one, whatever the cache holds.
+    const auto dir = std::filesystem::path(::testing::TempDir()) /
+                     "vegeta_tune_warm_cache";
+    std::filesystem::remove_all(dir);
+    {
+        Session warm;
+        ASSERT_TRUE(warm.attachDiskCache(dir.string())->ok());
+        const auto grid =
+            figure13Grid(warm, {"quick-small", "quick-square"},
+                         warm.engines().names());
+        warm.runBatch(grid, 2);
     }
+    Session cached;
+    const auto disk = cached.attachDiskCache(dir.string());
+    ASSERT_TRUE(disk->ok());
+    ASSERT_GE(disk->stats().simulationEntries, 32u);
+
+    TuneOptions options;
+    options.threads = 2;
+    const auto space = TuneSpace::full(cached, {"quick-small"});
+    const Session plain;
+    EXPECT_EQ(reportJson(Tuner(cached, options).run(space)),
+              reportJson(Tuner(plain, options).run(space)));
 }
 
 // --- search quality --------------------------------------------------
 
-TEST(Tuner, CappedExhaustiveFindsFullSweepOptimum)
+TEST(Tuner, BudgetEightFindsFigure13SweepOptimum)
 {
     Session session;
     session.enableCache(); // the sweep shares replays with the search
@@ -251,6 +264,31 @@ TEST(Tuner, CappedExhaustiveFindsFullSweepOptimum)
               tunePointKey(sweep.best()->point));
     EXPECT_EQ(report.best()->measuredCoreCycles,
               sweep.best()->measuredCoreCycles);
+}
+
+TEST(Tuner, BudgetEightReachesResNet50L3Optimum)
+{
+    // ResNet50-L3 is where the prefilter's ranking is worst: measured
+    // cycles/MAC run 1.30-4.76x above its estimate, so its top 8
+    // miss the optimum by 22%.  The recalibrated second round must
+    // reach the best of all 135 valid points.
+    Session session;
+    session.enableCache(); // the search reuses the truth's replays
+    const auto space = TuneSpace::full(session, {"ResNet50-L3"});
+
+    TuneOptions truth_options;
+    truth_options.budget.replays = u32(space.rawSize());
+    truth_options.threads = 2;
+    const auto truth = Tuner(session, truth_options).run(space);
+    ASSERT_EQ(truth.replayedPoints, 135u);
+
+    TuneOptions options;
+    options.threads = 2;
+    const auto report = Tuner(session, options).run(space);
+    EXPECT_EQ(report.replayedPoints, 8u);
+    ASSERT_NE(report.best(), nullptr);
+    EXPECT_EQ(report.best()->measuredCoreCycles,
+              truth.best()->measuredCoreCycles);
 }
 
 TEST(Tuner, ParetoFrontIsSortedAndNonDominated)
@@ -277,71 +315,6 @@ TEST(Tuner, ParetoFrontIsSortedAndNonDominated)
     for (const auto &candidate : report.paretoFront)
         found = found || tunePointKey(candidate.point) == best_key;
     EXPECT_TRUE(found);
-}
-
-// --- cost model ------------------------------------------------------
-
-TEST(CostModel, SyntheticMonotoneSpaceRoundTrips)
-{
-    // y = 2 + 0.5 * t: the fit must recover the line and predictions
-    // must stay monotone in t.
-    std::vector<CostSample> samples;
-    for (u32 t = 0; t < 40; ++t) {
-        CostSample sample;
-        sample.features[0] = 1.0;
-        sample.features[1] = double(t);
-        sample.log2Cycles = 2.0 + 0.5 * double(t);
-        samples.push_back(sample);
-    }
-    const auto model = CostModel::fit(samples);
-    ASSERT_TRUE(model);
-    EXPECT_EQ(model->sampleCount(), 40u);
-    EXPECT_LT(model->trainRmse(), 1e-3);
-
-    double previous = -1e300;
-    for (u32 t = 0; t < 40; ++t) {
-        const double predicted =
-            model->predictLog2Cycles(samples[t].features);
-        EXPECT_NEAR(predicted, samples[t].log2Cycles, 1e-2);
-        EXPECT_GT(predicted, previous);
-        previous = predicted;
-    }
-
-    // Closed-form fit: refitting the same data is bit-identical.
-    const auto again = CostModel::fit(samples);
-    ASSERT_TRUE(again);
-    for (const auto &sample : samples)
-        EXPECT_EQ(model->predictLog2Cycles(sample.features),
-                  again->predictLog2Cycles(sample.features));
-}
-
-TEST(CostModel, FitRejectsDegenerateInputs)
-{
-    EXPECT_FALSE(CostModel::fit({}));
-}
-
-TEST(CostModel, CacheEntryRoundTripsThroughKey)
-{
-    Session session;
-    const auto job = session.job()
-                         .workload("quick-small")
-                         .engine("VEGETA-S-16-2")
-                         .pattern(2)
-                         .outputForwarding(true)
-                         .cBlocking(2)
-                         .build();
-    ASSERT_TRUE(job);
-    const auto result = session.run(job->simulation);
-    const auto sample = costSampleFromCacheEntry(
-        session, cacheKey(job->simulation), result);
-    ASSERT_TRUE(sample);
-    EXPECT_EQ(sample->features[0], 1.0); // bias term
-    EXPECT_NEAR(sample->log2Cycles,
-                std::log2(double(result.coreCycles)), 1e-12);
-
-    // A corrupted key must be skipped, not mis-featurized.
-    EXPECT_FALSE(costSampleFromCacheEntry(session, "v0|broken|key",
-                                          result));
 }
 
 } // namespace
