@@ -386,10 +386,9 @@ main(int argc, char **argv)
 
     // Telemetry-overhead row: the same batch replay measured with
     // span tracing armed vs disarmed, arms interleaved per rep so
-    // frequency drift hits both equally.  The disarmed arm is what a
-    // VEGETA_NO_TELEMETRY build pays everywhere (in that build both
-    // arms are no-ops and the row pins the macro path at ~0%); the
-    // armed arm bounds the cost of running with --trace-out.
+    // frequency drift hits both equally.  The disarmed arm is what
+    // every run pays; the armed arm bounds the cost of running with
+    // --trace-out.
     double telemetry_disarmed = 0, telemetry_traced = 0;
     double telemetry_overhead_pct = 0;
     {
@@ -532,13 +531,8 @@ main(int argc, char **argv)
           << "}, \"memory_probe_uops\": " << big.uops
           << ", \"stream_peak_rss_bytes\": " << stream_peak_rss
           << ", \"batch_peak_rss_bytes\": " << batch_peak_rss
-          << ", \"telemetry_overhead\": {\"telemetry_build\": "
-#ifdef VEGETA_NO_TELEMETRY
-          << "false"
-#else
-          << "true"
-#endif
-          << ", \"disarmed_uops_per_sec\": " << telemetry_disarmed
+          << ", \"telemetry_overhead\": {\"disarmed_uops_per_sec\": "
+          << telemetry_disarmed
           << ", \"traced_uops_per_sec\": " << telemetry_traced
           << ", \"overhead_pct\": " << telemetry_overhead_pct
           << "}, \"trace_io\": {\"workload\": \"GPT-L3\", "

@@ -16,10 +16,7 @@
  * `run` and `sweep` accept --cache-dir DIR to attach the Session's
  * persistent result cache; `cache stats` prints its counters as JSON
  * and `cache prune` bounds the file under --max-bytes/--max-entries.
- * `sweep --workers N` deals the grid over N pre-forked worker
- * processes (sim/workers.hpp, the same ones `serve --service-workers`
- * runs) that share the --cache-dir; the merged output is
- * byte-identical to the single-process sweep.
+ * Every local batch runs on Session::runBatch's threads.
  *
  * Each subcommand parses its arguments from one FlagTable of (flag,
  * accepted value, setter) rows.  Every numeric flag goes through the
@@ -28,9 +25,10 @@
  * results.
  *
  * `serve` keeps one warm Session (and optional pre-forked persistent
- * workers) behind a unix/TCP socket; `run --connect ADDR` and `sweep
- * --connect ADDR` send the same work there instead of simulating
- * locally, with byte-identical stdout (sim/server, sim/client).
+ * workers, sim/workers.hpp) behind a unix/TCP socket; `run --connect
+ * ADDR` and `sweep --connect ADDR` send the same work there instead of
+ * simulating locally, with byte-identical stdout (sim/server,
+ * sim/client).  A sweep runs on worker processes only that way.
  */
 
 #include <algorithm>
@@ -47,13 +45,11 @@
 
 #include "cpu/trace_io.hpp"
 #include "sim/client.hpp"
-#include "sim/job_io.hpp"
 #include "sim/serial.hpp"
 #include "sim/server.hpp"
 #include "sim/session.hpp"
 #include "sim/telemetry.hpp"
 #include "sim/tune.hpp"
-#include "sim/workers.hpp"
 
 namespace {
 
@@ -116,10 +112,7 @@ usage(std::ostream &os)
           "  --pattern N         layer pattern (repeatable, default "
           "4 2 1)\n"
           "  --threads N         worker threads (default hardware)\n"
-          "  --workers N         shard over N worker processes\n"
-          "                      (byte-identical to single-process)\n"
           "  --cache-dir DIR     attach the persistent result cache\n"
-          "                      (shared by all workers)\n"
           "  --connect ADDR      run on a serve daemon instead of\n"
           "                      locally (byte-identical output)\n"
           "  --trace-out FILE    write a Chrome trace_event span\n"
@@ -400,40 +393,8 @@ runOnServer(const std::string &address,
 }
 
 /**
- * Run a batch on @p count freshly forked workers (sim/workers.hpp)
- * sharing @p cache_dir; nullopt (with the reason already printed) on
- * failure.  Each worker's latest metrics snapshot is absorbed once,
- * so a later --metrics-out covers the workers' counters.
- */
-std::optional<sim::ClientRun>
-runOnWorkers(const std::vector<sim::Job> &jobs, u32 count,
-             const std::string &cache_dir, u32 threads)
-{
-    sim::WorkerSet workers;
-    std::string error;
-    std::optional<sim::WorkerOutput> output;
-    if (workers.start(count, cache_dir, threads, &error))
-        output = workers.run(jobs, &error);
-    for (const auto &worker : workers.status())
-        telemetry::absorb(worker.metrics);
-    std::optional<std::vector<sim::JobResult>> results;
-    if (output)
-        results = sim::resultsInJobOrder(jobs, *output, &error);
-    if (!results) {
-        std::cerr << "error: worker sweep failed: " << error << "\n";
-        return std::nullopt;
-    }
-    sim::ClientRun run;
-    run.results = std::move(*results);
-    run.simulationsPerformed = output->simulationsPerformed;
-    run.analysesPerformed = output->analysesPerformed;
-    return run;
-}
-
-/**
  * Flush telemetry output files ("" skips one).  Returns 0, or 2 when
- * a file cannot be written.  In a VEGETA_NO_TELEMETRY build the files
- * still appear, with empty metric/span lists.
+ * a file cannot be written.
  */
 int
 writeTelemetryFiles(const std::string &metrics_out,
@@ -686,7 +647,6 @@ cmdSweep(const std::vector<std::string> &args)
     std::vector<std::string> workload_names, engine_names;
     std::vector<u32> patterns;
     u32 threads = 0;
-    u32 workers = 0;
     std::string cache_dir, connect_addr;
     std::string span_trace_out, metrics_out;
     OutputFormat format = OutputFormat::Text;
@@ -706,7 +666,6 @@ cmdSweep(const std::vector<std::string> &args)
          {"--trace-out", kText, store(span_trace_out)},
          {"--metrics-out", kText, store(metrics_out)},
          {"--threads", "a positive integer", u32In(threads, 1)},
-         {"--workers", "a positive integer", u32In(workers, 1)},
          {"--cache-dir", kText, store(cache_dir)},
          {"--connect", kText, store(connect_addr)},
          {"--csv", kSwitch, assign(format, OutputFormat::Csv)},
@@ -714,35 +673,20 @@ cmdSweep(const std::vector<std::string> &args)
     if (const auto status = table.parse(args))
         return *status;
 
-    if (!connect_addr.empty() &&
-        (workers > 0 || threads > 0 || !cache_dir.empty())) {
+    if (!connect_addr.empty() && (threads > 0 || !cache_dir.empty())) {
         std::cerr << "error: --connect cannot be combined with "
-                     "--workers/--threads/--cache-dir (the server "
-                     "decides its own execution)\n";
+                     "--threads/--cache-dir (the server decides its "
+                     "own execution)\n";
         return 1;
     }
 
     sim::Session session;
     session.enableCache();
     if (!cache_dir.empty()) {
-        if (workers > 0) {
-            // Worker mode: the WORKERS open the shared cache; the
-            // parent only checks the directory is usable instead of
-            // loading a potentially large file it would never read.
-            std::error_code ec;
-            std::filesystem::create_directories(cache_dir, ec);
-            if (ec || !std::filesystem::is_directory(cache_dir)) {
-                std::cerr << "cannot open cache dir: " << cache_dir
-                          << "\n";
-                return 2;
-            }
-        } else {
-            const auto disk = session.attachDiskCache(cache_dir);
-            if (!disk->ok()) {
-                std::cerr << "cannot open cache dir: " << cache_dir
-                          << "\n";
-                return 2;
-            }
+        const auto disk = session.attachDiskCache(cache_dir);
+        if (!disk->ok()) {
+            std::cerr << "cannot open cache dir: " << cache_dir << "\n";
+            return 2;
         }
     }
 
@@ -785,21 +729,17 @@ cmdSweep(const std::vector<std::string> &args)
 
     std::vector<sim::SimulationResult> results;
     u64 simulated = 0;
-    if (connect_addr.empty() && workers == 0) {
+    if (connect_addr.empty()) {
         results = session.runBatch(grid, threads);
         simulated = session.simulationsPerformed();
     } else {
-        // Out of process: a serve daemon, or pre-forked workers.
-        // Results are bit-identical to the local batch, so stdout
-        // matches a local sweep byte for byte.
+        // On a serve daemon: results are bit-identical to the local
+        // batch, so stdout matches a local sweep byte for byte.
         std::vector<sim::Job> jobs;
         jobs.reserve(grid.size());
         for (const auto &request : grid)
             jobs.push_back(sim::Job::simulate(request));
-        const auto run =
-            connect_addr.empty()
-                ? runOnWorkers(jobs, workers, cache_dir, threads)
-                : runOnServer(connect_addr, jobs);
+        const auto run = runOnServer(connect_addr, jobs);
         if (!run)
             return 2;
         results.reserve(run->results.size());
@@ -823,12 +763,10 @@ cmdSweep(const std::vector<std::string> &args)
               << " simulated";
     if (!connect_addr.empty())
         std::cerr << " by server";
-    else if (workers > 0)
-        std::cerr << " across " << workers << " workers";
     std::cerr << "\n";
-    // In worker/service mode the cache traffic happened elsewhere;
-    // the parent's view would read 0/0 regardless, so say nothing.
-    if (workers == 0 && connect_addr.empty())
+    // With --connect the cache traffic happened in the server; the
+    // local view would read 0/0 regardless, so say nothing.
+    if (connect_addr.empty())
         reportDiskCache(session);
     return writeTelemetryFiles(metrics_out, span_trace_out);
 }
@@ -977,8 +915,15 @@ cmdTune(const std::vector<std::string> &args)
     }
     std::cerr << "tune: " << report.analyzedPoints << " analyzed, "
               << report.replayedPoints << " replayed";
-    if (!connect_addr.empty())
-        std::cerr << " (confirmations by server)";
+    if (!connect_addr.empty()) {
+        if (report.serverReplays == report.replayedPoints)
+            std::cerr << " (confirmations by server)";
+        else
+            std::cerr << " (" << report.serverReplays
+                      << " confirmed by server, "
+                      << report.replayedPoints - report.serverReplays
+                      << " locally)";
+    }
     std::cerr << "\n";
     reportDiskCache(session);
     return writeTelemetryFiles(metrics_out, span_trace_out);

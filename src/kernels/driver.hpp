@@ -3,8 +3,8 @@
  * End-to-end experiment primitive: workload -> materialized kernel
  * trace -> cycle-level CPU simulation of one layer.
  *
- * simulateNetwork builds on it, and tests use it as the
- * materialized-trace reference for sim::Session's streaming path.
+ * Tests use it as the materialized-trace reference for
+ * sim::Session's streaming path.
  * Grids and speed-ups (Figure 13, the headline numbers) are
  * sim::figure13Grid + Session::runBatch and sim::geomeanSpeedup.
  */

@@ -24,9 +24,8 @@ constexpr u32 kCTileBytes = 1024; ///< 16 x 16 FP32
 class Emitter
 {
   public:
-    Emitter(const KernelOptions &opts, isa::Emulator *emu,
-            cpu::TraceSink &sink)
-        : opts_(opts), emu_(emu), sink_(sink)
+    Emitter(isa::Emulator *emu, cpu::TraceSink &sink)
+        : emu_(emu), sink_(sink)
     {
     }
 
@@ -41,7 +40,7 @@ class Emitter
     void
     loopEnd()
     {
-        scalar(opts_.loopOverheadAlu);
+        scalar(kLoopOverheadAlu);
         sink_.emit(cpu::TraceOp::branch());
         ++stats_.instructions;
     }
@@ -49,7 +48,7 @@ class Emitter
     void
     tile(const isa::Instruction &in)
     {
-        scalar(opts_.scalarOpsPerTileOp);
+        scalar(kScalarOpsPerTileOp);
         sink_.emit(cpu::TraceOp::fromTileInstruction(in));
         ++stats_.instructions;
         if (isa::isTileCompute(in.op))
@@ -65,7 +64,6 @@ class Emitter
     const KernelStats &stats() const { return stats_; }
 
   private:
-    const KernelOptions &opts_;
     isa::Emulator *emu_;
     cpu::TraceSink &sink_;
     KernelStats stats_;
@@ -176,7 +174,7 @@ spmmKernelImpl(GemmDims dims, u32 executed_n, const KernelOptions &opts,
         emu.emplace(mem);
     }
 
-    Emitter emit(opts, emu ? &*emu : nullptr, sink);
+    Emitter emit(emu ? &*emu : nullptr, sink);
 
     // Register plan: B in treg0/ureg0/vreg0 (backing tregs 0-3), A
     // values treg4 (+mreg4), C tiles treg5-7.  The optimized kernel
@@ -223,11 +221,11 @@ spmmKernelImpl(GemmDims dims, u32 executed_n, const KernelOptions &opts,
         }
     };
 
-    emit.scalar(opts.prologueAlu);
+    emit.scalar(kPrologueAlu);
     for (u32 i = 0; i < mt; ++i) {
         for (u32 j0 = 0; j0 < nt; j0 += unroll) {
             const u32 group = std::min(unroll, nt - j0);
-            emit.scalar(opts.tileSetupAlu);
+            emit.scalar(kTileSetupAlu);
             if (opts.optimized)
                 for (u32 s = 0; s < group; ++s)
                     emit.tile(isa::makeTileLoadT(
@@ -256,7 +254,7 @@ spmmKernelImpl(GemmDims dims, u32 executed_n, const KernelOptions &opts,
         }
         emit.loopEnd();
     }
-    emit.scalar(opts.prologueAlu / 2); // epilogue
+    emit.scalar(kPrologueAlu / 2); // epilogue
 
     if (!opts.traceOnly && c_out != nullptr) {
         MatrixF c_pad(p.m, p.n);
@@ -319,7 +317,7 @@ runRowWiseSpmmKernel(const MatrixBF16 &a, const MatrixBF16 &b,
     isa::FlatMemory mem;
     isa::Emulator emu(mem);
     cpu::TraceCollector collector;
-    Emitter emit(opts, &emu, collector);
+    Emitter emit(&emu, collector);
 
     MatrixF c_host(m, n_pad);
 
@@ -327,7 +325,7 @@ runRowWiseSpmmKernel(const MatrixBF16 &a, const MatrixBF16 &b,
     const isa::TileReg c_ureg = isa::ureg(1); // tregs 2-3
     const isa::TileReg a_reg = isa::treg(4);
 
-    emit.scalar(opts.prologueAlu);
+    emit.scalar(kPrologueAlu);
     for (u32 kk = 0; kk < kt; ++kk) {
         const MatrixBF16 chunk = a_pad.block(0, kk * 64, m, 64);
 
@@ -380,7 +378,7 @@ runRowWiseSpmmKernel(const MatrixBF16 &a, const MatrixBF16 &b,
             isa::storeMetadata(mem, kBaseMd, rwt.packMetadata(),
                                rwt.packRowDescriptors());
 
-            emit.scalar(opts.tileSetupAlu);
+            emit.scalar(kTileSetupAlu);
             emit.tile(isa::makeTileLoadT(a_reg, kBaseA, 64));
             emit.tile(isa::makeTileLoadM(4, kBaseMd));
             for (u32 j = 0; j < nt; ++j) {

@@ -52,15 +52,19 @@ struct KernelOptions
     u32 cBlocking = 3;
     /** Skip data staging / functional execution; trace only. */
     bool traceOnly = false;
-    /** Scalar address-generation ops emitted per tile load/store. */
-    u32 scalarOpsPerTileOp = 1;
-    /** Scalar bookkeeping ops per loop iteration (+1 branch). */
-    u32 loopOverheadAlu = 2;
-    /** Per-(i,j) tile-pointer setup ops. */
-    u32 tileSetupAlu = 8;
-    /** One-time kernel prologue/epilogue ops. */
-    u32 prologueAlu = 50;
 };
+
+// The generated kernels' scalar instruction mix (the tuner's
+// prefilter counts the same ops in closed form).
+
+/** Scalar address-generation ops emitted per tile load/store. */
+inline constexpr u32 kScalarOpsPerTileOp = 1;
+/** Scalar bookkeeping ops per loop iteration (+1 branch). */
+inline constexpr u32 kLoopOverheadAlu = 2;
+/** Per-(i,j) tile-pointer setup ops. */
+inline constexpr u32 kTileSetupAlu = 8;
+/** One-time kernel prologue ops (the epilogue emits half). */
+inline constexpr u32 kPrologueAlu = 50;
 
 /** Instruction-mix statistics of one generated kernel. */
 struct KernelStats

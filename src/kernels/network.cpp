@@ -1,7 +1,5 @@
 #include "kernels/network.hpp"
 
-#include <algorithm>
-
 #include "common/logging.hpp"
 
 namespace vegeta::kernels {
@@ -13,35 +11,6 @@ Network::totalMacs() const
     for (const auto &layer : layers)
         total += layer.workload.gemm.macs();
     return total;
-}
-
-NetworkMeasurement
-simulateNetwork(const Network &network,
-                const engine::EngineConfig &engine, NetworkPolicy policy,
-                bool output_forwarding)
-{
-    VEGETA_ASSERT(!network.layers.empty(), "network has no layers");
-
-    // Network-wise hardware runs everything at the densest pattern any
-    // layer needs (the max N over layers).
-    u32 network_n = 1;
-    for (const auto &layer : network.layers)
-        network_n = std::max(network_n, layer.layerN);
-
-    NetworkMeasurement out;
-    out.network = network.name;
-    out.engineName = engine.name;
-    out.policy = policy;
-    for (const auto &layer : network.layers) {
-        const u32 n = policy == NetworkPolicy::LayerWise ? layer.layerN
-                                                         : network_n;
-        const Measurement m = simulateLayer(
-            layer.workload, n, engine,
-            output_forwarding && engine.sparse);
-        out.totalCycles += m.coreCycles;
-        out.perLayer.push_back(m);
-    }
-    return out;
 }
 
 namespace {

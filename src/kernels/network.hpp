@@ -10,14 +10,14 @@
  * executes each layer at its own N.
  *
  * This module models a network as a sequence of layers with per-layer
- * patterns, simulates end-to-end inference on an engine, and compares
- * the layer-wise and network-wise execution policies.
+ * patterns.  The analytical `network-policy` model (sim/analytical)
+ * replays each network on an engine under both execution policies.
  */
 
 #ifndef VEGETA_KERNELS_NETWORK_HPP
 #define VEGETA_KERNELS_NETWORK_HPP
 
-#include "kernels/driver.hpp"
+#include "kernels/workloads.hpp"
 
 namespace vegeta::kernels {
 
@@ -36,34 +36,6 @@ struct Network
 
     u64 totalMacs() const;
 };
-
-/** Execution policy for a network on N:M hardware. */
-enum class NetworkPolicy
-{
-    /** Each layer runs at its own N (VEGETA, layer-wise HW). */
-    LayerWise,
-    /**
-     * Every layer runs at the densest N any layer needs
-     * (network-wise HW, e.g. a single-pattern engine).
-     */
-    NetworkWise,
-};
-
-/** End-to-end network measurement. */
-struct NetworkMeasurement
-{
-    std::string network;
-    std::string engineName;
-    NetworkPolicy policy = NetworkPolicy::LayerWise;
-    Cycles totalCycles = 0;
-    std::vector<Measurement> perLayer;
-};
-
-/** Simulate a network on one engine under a policy. */
-NetworkMeasurement simulateNetwork(const Network &network,
-                                   const engine::EngineConfig &engine,
-                                   NetworkPolicy policy,
-                                   bool output_forwarding = true);
 
 /**
  * Reference networks built from Table IV layers with the mixed

@@ -23,20 +23,11 @@
 
 namespace vegeta::kernels {
 
-struct VectorKernelOptions
-{
-    u32 unrollFactor = 8;  ///< k-pairs per loop-overhead bundle
-    u32 prologueAlu = 50;
-    u32 stripSetupAlu = 2; ///< per output-strip pointer setup
-};
-
 /** Generate the vector GEMM trace for C (m x n) = A (m x k) x B. */
-cpu::Trace generateVectorGemmTrace(GemmDims dims,
-                                   const VectorKernelOptions &opts = {});
+cpu::Trace generateVectorGemmTrace(GemmDims dims);
 
 /** Closed-form executed-instruction count of the same kernel. */
-u64 vectorGemmInstructionCount(GemmDims dims,
-                               const VectorKernelOptions &opts = {});
+u64 vectorGemmInstructionCount(GemmDims dims);
 
 } // namespace vegeta::kernels
 

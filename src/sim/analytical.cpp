@@ -694,7 +694,8 @@ blockSizeHardwareBackend(const Session &simulator,
  * Section III-B network study: layer-wise vs network-wise N:M
  * execution of whole sparse networks.  The "network" option picks
  * one reference network ("resnet-front" / "bert-encoder"); the
- * default runs both.
+ * default runs both.  Each network's replays, for every engine and
+ * both policies, run as one deduplicated Session::runBatch.
  */
 AnalyticalResult
 networkPolicyBackend(const Session &simulator,
@@ -714,42 +715,62 @@ networkPolicyBackend(const Session &simulator,
 
     // Representative design points by default: the dense baseline, a
     // single-pattern STC-like engine, and two flexible sparse ones.
-    std::vector<engine::EngineConfig> engines;
-    if (request.engines.empty()) {
-        for (const char *name : {"VEGETA-D-1-2", "STC-like",
-                                 "VEGETA-S-2-2", "VEGETA-S-16-2"}) {
-            const auto config = simulator.engines().find(name);
-            VEGETA_ASSERT(config.has_value(), "unregistered engine ",
-                          name);
-            engines.push_back(*config);
-        }
-    } else {
-        engines = resolveEngines(simulator, request);
-    }
+    const std::vector<std::string> engines =
+        request.engines.empty()
+            ? std::vector<std::string>{"VEGETA-D-1-2", "STC-like",
+                                       "VEGETA-S-2-2", "VEGETA-S-16-2"}
+            : request.engines;
 
     const bool of = request.param("output_forwarding", 1) != 0;
     for (const auto &net : networks) {
         std::ostringstream note;
         note << net.name << ": " << net.layers.size() << " layers, "
              << net.totalMacs() << " MACs, patterns";
-        for (const auto &layer : net.layers)
+        // Network-wise hardware runs every layer at the densest
+        // pattern any layer needs (the max N over layers).
+        u32 network_n = 1;
+        for (const auto &layer : net.layers) {
             note << ' ' << layer.layerN << ":4";
+            network_n = std::max(network_n, layer.layerN);
+        }
         result.notes.push_back(note.str());
 
-        for (const auto &config : engines) {
-            const auto lw = kernels::simulateNetwork(
-                net, config, kernels::NetworkPolicy::LayerWise, of);
-            const auto nw = kernels::simulateNetwork(
-                net, config, kernels::NetworkPolicy::NetworkWise, of);
+        // Per engine: every layer at its own N, then every layer at
+        // network_n.
+        std::vector<Job> jobs;
+        for (const auto &engine : engines) {
+            for (const bool network_wise : {false, true}) {
+                for (const auto &layer : net.layers) {
+                    auto builder =
+                        simulator.job()
+                            .workload(layer.workload.name)
+                            .engine(engine)
+                            .pattern(network_wise ? network_n
+                                                  : layer.layerN)
+                            .outputForwarding(of);
+                    auto job = builder.build();
+                    VEGETA_ASSERT(job.has_value(),
+                                  "bad network-policy job: ",
+                                  builder.error());
+                    jobs.push_back(std::move(*job));
+                }
+            }
+        }
+        const auto results = simulator.runBatch(jobs);
+
+        auto next = results.begin();
+        for (const auto &engine : engines) {
+            Cycles cycles[2] = {0, 0}; // layer-wise, network-wise
+            for (Cycles &total : cycles)
+                for (std::size_t l = 0; l < net.layers.size(); ++l)
+                    total += (next++)->simulation.coreCycles;
             auto &row = result.row();
             row.push_back(AnalyticalCell::text(net.name));
-            row.push_back(AnalyticalCell::text(config.name));
-            row.push_back(
-                AnalyticalCell::number(double(lw.totalCycles), 0));
-            row.push_back(
-                AnalyticalCell::number(double(nw.totalCycles), 0));
+            row.push_back(AnalyticalCell::text(engine));
+            row.push_back(AnalyticalCell::number(double(cycles[0]), 0));
+            row.push_back(AnalyticalCell::number(double(cycles[1]), 0));
             row.push_back(AnalyticalCell::number(
-                double(nw.totalCycles) / double(lw.totalCycles), 2));
+                double(cycles[1]) / double(cycles[0]), 2));
         }
     }
     result.notes.push_back(

@@ -27,12 +27,10 @@ cacheKey(const SimulationRequest &request)
     return key.str();
 }
 
-ResultCache::ResultCache(std::size_t shards)
+ResultCache::ResultCache()
 {
-    if (shards == 0)
-        shards = 1;
-    shards_.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s)
+    shards_.reserve(kShards);
+    for (std::size_t s = 0; s < kShards; ++s)
         shards_.push_back(std::make_unique<Shard>());
 }
 
@@ -40,7 +38,7 @@ ResultCache::Shard &
 ResultCache::shardFor(const std::string &key) const
 {
     const std::size_t hash = std::hash<std::string>{}(key);
-    return *shards_[hash % shards_.size()];
+    return *shards_[hash % kShards];
 }
 
 std::optional<SimulationResult>

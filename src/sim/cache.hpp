@@ -62,7 +62,7 @@ struct CacheStats
 class ResultCache
 {
   public:
-    explicit ResultCache(std::size_t shards = 16);
+    ResultCache();
 
     /** The cached result for key, or nullopt (counts a hit/miss). */
     std::optional<SimulationResult> find(const std::string &key) const;
@@ -84,6 +84,9 @@ class ResultCache
         mutable std::mutex mutex;
         std::unordered_map<std::string, SimulationResult> entries;
     };
+
+    /** Shards, each behind its own mutex. */
+    static constexpr std::size_t kShards = 16;
 
     Shard &shardFor(const std::string &key) const;
 

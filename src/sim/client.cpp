@@ -23,6 +23,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/** Sleep between failed connect attempts, milliseconds. */
+constexpr int kRetryDelayMs = 50;
+
 bool
 allDigits(const std::string &text)
 {
@@ -197,12 +200,11 @@ SimClient::connect(std::string *error)
         fd_ = connectOnce(use_tcp, host_or_path, port, &attempt_error);
         if (fd_ >= 0)
             break;
-        if (Clock::now() +
-                std::chrono::milliseconds(options_.retryDelayMs) >=
+        if (Clock::now() + std::chrono::milliseconds(kRetryDelayMs) >=
             deadline)
             return fail(attempt_error);
         std::this_thread::sleep_for(
-            std::chrono::milliseconds(options_.retryDelayMs));
+            std::chrono::milliseconds(kRetryDelayMs));
     }
 
     // Handshake: refuse to exchange work with a mismatched build.

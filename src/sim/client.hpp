@@ -42,9 +42,6 @@ struct ClientOptions
 
     /** Per-request reply timeout, milliseconds (< 0 blocks). */
     int requestTimeoutMs = -1;
-
-    /** Sleep between failed connect attempts, milliseconds. */
-    int retryDelayMs = 50;
 };
 
 /** One remote batch: results plus what the server had to compute. */

@@ -70,9 +70,7 @@ struct WorkerOutput
     /**
      * The worker's cumulative telemetry snapshot at encode time
      * (v2 `metric` records).  A WorkerSet keeps the latest copy per
-     * worker, for live stats and for `sweep --workers --metrics-out`.
-     * Always empty in a `VEGETA_NO_TELEMETRY` build -- the records
-     * stay decodable, so the two builds read each other's payloads.
+     * worker for the daemon's live stats.
      */
     std::vector<telemetry::MetricRecord> metrics;
 };

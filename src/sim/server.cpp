@@ -61,6 +61,9 @@ closeFd(int &fd)
 /** Bounded sample ring for stats percentiles (keeps the newest). */
 constexpr std::size_t kLatencyRingCap = 512;
 
+/** Handshake/read timeout for client sockets, milliseconds. */
+constexpr int kClientTimeoutMs = 10'000;
+
 void
 pushRing(std::vector<u64> &ring, u64 &next, u64 value)
 {
@@ -482,8 +485,7 @@ SimServer::Impl::readerLoop(std::shared_ptr<ClientConn> conn)
     // record formats before any batch crosses the connection.
     wire::Frame hello;
     std::string error;
-    if (!wire::readFrame(conn->fd, &hello, options.clientTimeoutMs,
-                         &error)) {
+    if (!wire::readFrame(conn->fd, &hello, kClientTimeoutMs, &error)) {
         protocolError("handshake failed: " + error);
         return;
     }

@@ -59,9 +59,6 @@ struct ServerOptions
 
     /** Shared persistent result-cache directory ("" = off). */
     std::string cacheDir;
-
-    /** Handshake/read timeout for client sockets, milliseconds. */
-    int clientTimeoutMs = 10'000;
 };
 
 /** Aggregate service counters (monotonic over the server's life). */

@@ -105,12 +105,6 @@ Session::job() const
     return JobBuilder(engines_, workloads_, analytics_);
 }
 
-void
-Session::setCache(std::shared_ptr<ResultCache> cache)
-{
-    cache_ = std::move(cache);
-}
-
 std::shared_ptr<ResultCache>
 Session::enableCache()
 {
@@ -123,12 +117,6 @@ Session::attachDiskCache(const std::string &directory)
 {
     disk_cache_ = std::make_shared<DiskResultCache>(directory);
     return disk_cache_;
-}
-
-void
-Session::setDiskCache(std::shared_ptr<DiskResultCache> cache)
-{
-    disk_cache_ = std::move(cache);
 }
 
 SimulationResult

@@ -15,9 +15,10 @@
  *    canonical-key dedupe, and the output is bit-for-bit identical
  *    for any thread count, with or without either cache attached.
  *
- * Work that leaves the process (`serve --service-workers`, `sweep
- * --workers`) goes to sim/workers' WorkerSet, whose pre-forked
- * workers each run their own Session.
+ * runBatch is the one local executor.  Work that leaves the process
+ * goes to a `serve` daemon; with `--service-workers` it runs on
+ * sim/workers' WorkerSet, whose pre-forked workers each run their
+ * own Session.
  *
  * Everything above this layer (CLI, benches, sweeps) speaks only jobs
  * or request/result pairs, built by job(); nothing above it wires
@@ -76,20 +77,12 @@ class Session
     JobBuilder job() const;
 
     /**
-     * Attach an in-memory result cache consulted by run() (and,
-     * through it, by every batch).  Caching never changes an answer
-     * -- equal cache keys imply bit-identical results -- it only
-     * skips re-simulating requests already seen.  Pass nullptr to
-     * disable.  The cache may be shared between sessions with
-     * identical registries.
+     * Attach a fresh in-memory result cache consulted by run() (and,
+     * through it, by every batch) and return it.  Caching never
+     * changes an answer -- equal cache keys imply bit-identical
+     * results -- it only skips re-simulating requests already seen.
      */
-    void setCache(std::shared_ptr<ResultCache> cache);
-
-    /** Convenience: attach a fresh in-memory cache and return it. */
     std::shared_ptr<ResultCache> enableCache();
-
-    /** The attached cache (nullptr when caching is off). */
-    const std::shared_ptr<ResultCache> &cache() const { return cache_; }
 
     /**
      * Attach a persistent cache under @p directory (created as
@@ -102,9 +95,6 @@ class Session
      */
     std::shared_ptr<DiskResultCache>
     attachDiskCache(const std::string &directory);
-
-    /** Attach a (possibly shared) persistent cache, or nullptr. */
-    void setDiskCache(std::shared_ptr<DiskResultCache> cache);
 
     /** The attached persistent cache (nullptr when off). */
     const std::shared_ptr<DiskResultCache> &diskCache() const

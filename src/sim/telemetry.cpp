@@ -70,8 +70,6 @@ MetricsSnapshot::counter(const std::string &name) const
     return record ? record->count : 0;
 }
 
-#ifndef VEGETA_NO_TELEMETRY
-
 namespace {
 
 /** Registered-name ceiling; ids are asserted below it. */
@@ -165,8 +163,8 @@ struct Registry
         if (it != index.end())
             return it->second;
         VEGETA_ASSERT(names.size() < kMaxMetrics,
-                      "telemetry metric table full (%u names)",
-                      kMaxMetrics);
+                      "telemetry metric table full (", kMaxMetrics,
+                      " names)");
         const MetricId id = static_cast<MetricId>(names.size());
         names.emplace_back(name);
         kinds.push_back(kind);
@@ -345,26 +343,6 @@ snapshot()
 }
 
 void
-absorb(const std::vector<MetricRecord> &records)
-{
-    Registry &registry = Registry::instance();
-    for (const MetricRecord &record : records) {
-        const MetricId id =
-            registry.intern(record.name.c_str(), record.kind);
-        std::lock_guard<std::mutex> lock(registry.mutex);
-        Totals &totals = registry.retired;
-        totals.counts[id] += record.count;
-        totals.sums[id] += record.sumNs;
-        if (record.count > 0) {
-            totals.mins[id] =
-                std::min(totals.mins[id], record.minNs);
-            totals.maxs[id] =
-                std::max(totals.maxs[id], record.maxNs);
-        }
-    }
-}
-
-void
 resetMetrics()
 {
     Registry &registry = Registry::instance();
@@ -460,8 +438,6 @@ Span::close()
         hasArg_});
 }
 
-#endif // VEGETA_NO_TELEMETRY
-
 void
 writeMetricsJson(std::ostream &os, const MetricsSnapshot &snapshot)
 {
@@ -497,7 +473,6 @@ writeMetricsFile(const std::string &path)
 void
 writeTraceJson(std::ostream &os)
 {
-#ifndef VEGETA_NO_TELEMETRY
     Registry &registry = Registry::instance();
     std::vector<TraceEvent> events;
     {
@@ -534,9 +509,6 @@ writeTraceJson(std::ostream &os)
         os << "}";
     }
     os << (events.empty() ? "]}\n" : "\n]}\n");
-#else
-    os << "{\"traceEvents\": []}\n";
-#endif
 }
 
 bool

@@ -22,10 +22,7 @@
  * Everything here observes and never steers: no simulation state ever
  * reads a telemetry value, so instrumented and uninstrumented runs
  * are bit-identical (pinned by the golden-cycle and service
- * byte-identity tests).  Under `VEGETA_NO_TELEMETRY` the recording
- * API compiles to no-ops; the snapshot/serialization types stay real
- * so persistent formats (sim/job_io result files) parse identically
- * in both builds.
+ * byte-identity tests).
  */
 
 #ifndef VEGETA_SIM_TELEMETRY_HPP
@@ -76,8 +73,6 @@ using MetricId = u32;
 /** Nanoseconds since the process-wide monotonic anchor. */
 u64 nowNs();
 
-#ifndef VEGETA_NO_TELEMETRY
-
 /** Intern a counter name (cold; cache the id in a static). */
 MetricId counterId(const char *name);
 
@@ -92,14 +87,6 @@ void recordNs(MetricId id, u64 ns);
 
 /** Merge every live and retired slab into one sorted snapshot. */
 MetricsSnapshot snapshot();
-
-/**
- * Fold an external snapshot (a worker's latest `results` frame, a
- * remote peer) into this process's totals: counters and timer
- * counts/sums add, timer min/max widen.  Unknown names are
- * registered.
- */
-void absorb(const std::vector<MetricRecord> &records);
 
 /** Zero every metric (test/bench isolation; not thread-cheap). */
 void resetMetrics();
@@ -153,92 +140,6 @@ class ScopedTimer
     MetricId id_;
     u64 startNs_;
 };
-
-#else // VEGETA_NO_TELEMETRY: same API, all recording compiled out.
-
-inline MetricId
-counterId(const char *)
-{
-    return 0;
-}
-
-inline MetricId
-timerId(const char *)
-{
-    return 0;
-}
-
-inline void
-add(MetricId, u64)
-{
-}
-
-inline void
-recordNs(MetricId, u64)
-{
-}
-
-inline MetricsSnapshot
-snapshot()
-{
-    return {};
-}
-
-inline void
-absorb(const std::vector<MetricRecord> &)
-{
-}
-
-inline void
-resetMetrics()
-{
-}
-
-inline bool
-traceEnabled()
-{
-    return false;
-}
-
-inline void
-setTraceEnabled(bool)
-{
-}
-
-inline void
-clearTrace()
-{
-}
-
-inline u64
-traceSpanCount(const char * = nullptr)
-{
-    return 0;
-}
-
-class Span
-{
-  public:
-    explicit Span(const char *) {}
-    Span(const char *, u64) {}
-    Span(const Span &) = delete;
-    Span &operator=(const Span &) = delete;
-    // User-provided (non-trivial) so an unused named Span does not
-    // trip -Wunused-variable in this configuration.
-    ~Span() {}
-    void close() {}
-};
-
-class ScopedTimer
-{
-  public:
-    explicit ScopedTimer(MetricId) {}
-    ScopedTimer(const ScopedTimer &) = delete;
-    ScopedTimer &operator=(const ScopedTimer &) = delete;
-    ~ScopedTimer() {}
-};
-
-#endif // VEGETA_NO_TELEMETRY
 
 /**
  * The snapshot as a metrics JSON document: `{"metrics": [{"name":

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <ostream>
 #include <string_view>
@@ -176,37 +177,33 @@ Tuner::scoreCandidates(std::vector<TunePoint> valid) const
     return scored;
 }
 
-void
-Tuner::replayCandidates(std::vector<TuneCandidate *> &picks) const
+bool
+Tuner::replayCandidates(std::vector<TuneCandidate *> &picks,
+                        SimClient *client) const
 {
     if (picks.empty())
-        return;
+        return client != nullptr;
     std::vector<SimulationRequest> requests;
     requests.reserve(picks.size());
     for (const TuneCandidate *candidate : picks)
         requests.push_back(requestFor(session_, candidate->point));
 
     std::vector<SimulationResult> results;
-    if (!options_.connectAddress.empty()) {
-        ClientOptions client_options;
-        client_options.address = options_.connectAddress;
-        SimClient client(client_options);
-        std::string error;
+    if (client) {
         std::vector<Job> jobs;
         jobs.reserve(requests.size());
         for (const auto &request : requests)
             jobs.push_back(Job::simulate(request));
-        if (client.connect(&error)) {
-            if (const auto run = client.runBatch(jobs, &error)) {
-                for (const auto &job_result : run->results)
-                    results.push_back(job_result.simulation);
-            }
-        }
-        if (results.empty())
+        std::string error;
+        if (const auto run = client->runBatch(jobs, &error))
+            for (const auto &job_result : run->results)
+                results.push_back(job_result.simulation);
+        else
             VEGETA_WARN("tune: service ", options_.connectAddress,
-                        " unavailable (", error, "); confirming locally");
+                        " failed (", error, "); confirming locally");
     }
-    if (results.empty())
+    const bool by_server = !results.empty();
+    if (!by_server)
         results = session_.runBatch(requests, options_.threads);
 
     VEGETA_ASSERT(results.size() == picks.size(),
@@ -223,6 +220,7 @@ Tuner::replayCandidates(std::vector<TuneCandidate *> &picks) const
             double(workload->gemm.macs());
         picks[i]->measuredMacUtilization = results[i].macUtilization;
     }
+    return by_server;
 }
 
 TuneReport
@@ -301,11 +299,30 @@ Tuner::run(const TuneSpace &space) const
                       return pa != pb ? pa < pb : a < b;
                   });
     };
+    // One connection serves both rounds: an unreachable service
+    // costs one connect window and one warning, and a failed one is
+    // not asked again.
+    std::unique_ptr<SimClient> client;
+    if (!options_.connectAddress.empty() && !scored.empty()) {
+        ClientOptions client_options;
+        client_options.address = options_.connectAddress;
+        client = std::make_unique<SimClient>(client_options);
+        std::string error;
+        if (!client->connect(&error)) {
+            VEGETA_WARN("tune: service ", options_.connectAddress,
+                        " unavailable (", error,
+                        "); confirming locally");
+            client.reset();
+        }
+    }
     const auto replay = [&](std::size_t from, std::size_t to) {
         std::vector<TuneCandidate *> picks;
         for (std::size_t i = from; i < to; ++i)
             picks.push_back(&scored[ranking[i]]);
-        replayCandidates(picks);
+        if (replayCandidates(picks, client.get()))
+            report.serverReplays += picks.size();
+        else
+            client.reset();
     };
     const std::size_t budget = options_.budget.replays;
     const std::size_t first_round = std::min<std::size_t>(

@@ -15,8 +15,10 @@
  *     ranked by estimated cycles per MAC.
  *  3. replay confirmation -- at most TuneBudget::replays points run
  *     the real cycle model via Session::runBatch (inheriting thread
- *     pooling and both caches) or via a SimClient when an address is
- *     configured.  They run in two rounds: the top half of the budget
+ *     pooling and both caches) or, when an address is configured,
+ *     on that service over one connection per search (a service that
+ *     cannot be reached or fails leaves the rest of the replays to
+ *     the session).  They run in two rounds: the top half of the budget
  *     (at least one point) straight from the ranking, then the rest
  *     from the ranking rescaled by the first round's measured /
  *     estimated ratios, so a systematic prefilter bias on some
@@ -43,6 +45,7 @@
 namespace vegeta::sim {
 
 class Session;
+class SimClient;
 
 /** Explicit evaluation budget; replays are the scarce resource. */
 struct TuneBudget
@@ -109,6 +112,13 @@ struct TuneReport
     double replayMs = 0.0;
 
     /**
+     * Replays the service at TuneOptions::connectAddress answered;
+     * the local session ran the rest.  Not serialized either: the
+     * rendered report does not depend on where replays ran.
+     */
+    u64 serverReplays = 0;
+
+    /**
      * Replayed candidates, best (lowest measured cycles/MAC) first,
      * ties broken by tunePointKey.  best() is confirmed.front().
      */
@@ -151,7 +161,12 @@ class Tuner
     std::vector<TuneCandidate>
     scoreCandidates(std::vector<TunePoint> valid) const;
 
-    void replayCandidates(std::vector<TuneCandidate *> &picks) const;
+    /**
+     * Replay @p picks on @p client, or on the session when it is
+     * nullptr or its batch fails; true when the service answered.
+     */
+    bool replayCandidates(std::vector<TuneCandidate *> &picks,
+                          SimClient *client) const;
 
     const Session &session_;
     TuneOptions options_;

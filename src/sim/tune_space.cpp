@@ -200,7 +200,6 @@ prefilterEstimate(const kernels::GemmDims &gemm,
     const kernels::GemmDims p =
         kernels::padProblem(gemm, est.executedN);
     const u64 mt = p.m / 16, nt = p.n / 16, kt = p.k / tk;
-    const kernels::KernelOptions defaults;
 
     const u32 unroll =
         naive ? 1 : std::min<u32>(c_blocking, u32(nt ? nt : 1));
@@ -224,11 +223,11 @@ prefilterEstimate(const kernels::GemmDims &gemm,
     const u64 tile_ops =
         est.tileLoads + est.tileStores + est.tileComputes;
     const u64 loop_ends = mt * groups_per_i * (kt + 1) + mt;
-    const u64 scalars = defaults.prologueAlu +
-                        defaults.prologueAlu / 2 +
-                        mt * groups_per_i * defaults.tileSetupAlu +
-                        tile_ops * defaults.scalarOpsPerTileOp +
-                        loop_ends * defaults.loopOverheadAlu;
+    const u64 scalars = kernels::kPrologueAlu +
+                        kernels::kPrologueAlu / 2 +
+                        mt * groups_per_i * kernels::kTileSetupAlu +
+                        tile_ops * kernels::kScalarOpsPerTileOp +
+                        loop_ends * kernels::kLoopOverheadAlu;
     est.instructions = scalars + loop_ends + tile_ops;
 
     // --- Engine occupancy (engine cycles -> core cycles).  The

@@ -1,8 +1,8 @@
 /**
  * @file
  * Pre-forked worker processes fed over pipes: the one out-of-process
- * executor, shared by `serve --service-workers` (SimServer) and
- * `sweep --workers` (simulate_cli).
+ * executor, behind `serve --service-workers` (SimServer).  A sweep
+ * reaches it through `sweep --connect`.
  *
  * A WorkerSet forks its workers once, before the calling process
  * starts any thread, so each child is a plain single-threaded copy.

@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <iterator>
 #include <sstream>
 
 #include "engine/area_model.hpp"
 #include "engine/pipeline.hpp"
+#include "kernels/driver.hpp"
 #include "kernels/network.hpp"
 #include "model/dynamic_sparsity.hpp"
 #include "model/vector_vs_matrix.hpp"
@@ -441,16 +443,28 @@ TEST(Analytical, NetworkPolicyMatchesDirectModel)
     const auto result = session.analyze(request);
     ASSERT_EQ(result.rows.size(), 1u);
 
+    // Reference: each layer's materialized-trace replay, at its own
+    // N and at the network's densest N, summed.
     const auto net = kernels::resnetFrontNetwork();
     const auto config = session.engines().find("VEGETA-S-16-2");
-    const auto lw = kernels::simulateNetwork(
-        net, *config, kernels::NetworkPolicy::LayerWise);
-    const auto nw = kernels::simulateNetwork(
-        net, *config, kernels::NetworkPolicy::NetworkWise);
+    u32 network_n = 1;
+    for (const auto &layer : net.layers)
+        network_n = std::max(network_n, layer.layerN);
+    Cycles layer_wise = 0, network_wise = 0;
+    for (const auto &layer : net.layers) {
+        layer_wise += kernels::simulateLayer(layer.workload,
+                                             layer.layerN, *config,
+                                             true)
+                          .coreCycles;
+        network_wise += kernels::simulateLayer(layer.workload,
+                                               network_n, *config,
+                                               true)
+                            .coreCycles;
+    }
     EXPECT_EQ(result.number(0, "layer_wise_cycles"),
-              double(lw.totalCycles));
+              double(layer_wise));
     EXPECT_EQ(result.number(0, "network_wise_cycles"),
-              double(nw.totalCycles));
+              double(network_wise));
     // Flexible hardware beats the network-wide pattern on a mixed net.
     EXPECT_GT(result.number(0, "network_wise_slowdown"), 1.0);
 }

@@ -193,7 +193,6 @@ TEST(GoldenCycles, MatrixIsBitIdenticalWithTracingEnabled)
         EXPECT_EQ(results[i].macUtilization, g.macUtilization)
             << "macUtilization must match bit for bit";
     }
-#ifndef VEGETA_NO_TELEMETRY
     const auto delta = [&](const char *name) {
         return after.counter(name) - before.counter(name);
     };
@@ -210,7 +209,6 @@ TEST(GoldenCycles, MatrixIsBitIdenticalWithTracingEnabled)
     EXPECT_EQ(delta("replay.ops"), unique_instructions);
     EXPECT_GT(telemetry::traceSpanCount("session.batch.plan"), 0u)
         << "an armed golden batch must record its planning span";
-#endif
     telemetry::clearTrace();
 }
 
@@ -298,7 +296,6 @@ TEST(GoldenCycles, TableIVFullGridIsPinned)
     EXPECT_EQ(sum, 0xac8dc73b71a91ee6ull)
         << "checksum " << serial::hex16(sum);
 
-#ifndef VEGETA_NO_TELEMETRY
     // The skip must keep firing: it advanced 64% of the sweep's
     // replayed ops when it landed.
     const u64 ops =
@@ -308,7 +305,6 @@ TEST(GoldenCycles, TableIVFullGridIsPinned)
     ASSERT_GT(ops, 0u);
     EXPECT_GE(static_cast<double>(skipped) / ops, 0.55)
         << skipped << " of " << ops << " ops skipped";
-#endif
 }
 
 TEST(GoldenCycles, SteadyStateSkipCoversGptL3)
@@ -316,9 +312,6 @@ TEST(GoldenCycles, SteadyStateSkipCoversGptL3)
     // GPT-L3 at 4:4 runs 384 identical k-iterations per C-tile group:
     // all but the first few of each group must be skipped (97.1% of
     // its ops when the skip landed).
-#ifdef VEGETA_NO_TELEMETRY
-    GTEST_SKIP() << "memo counters are compiled out";
-#else
     const Session session;
     const auto job = session.job()
                          .workload("GPT-L3")
@@ -339,7 +332,6 @@ TEST(GoldenCycles, SteadyStateSkipCoversGptL3)
               0.90);
     EXPECT_GT(delta("replay.memo.hits"), 0u);
     EXPECT_GT(delta("replay.memo.misses"), 0u);
-#endif
 }
 
 } // namespace

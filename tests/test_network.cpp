@@ -1,11 +1,14 @@
 /**
  * @file
- * Network-level simulation tests.
+ * Network-level sparsity tests: the reference networks, and the
+ * layer-wise vs network-wise policy rows of the `network-policy`
+ * model.
  */
 
 #include <gtest/gtest.h>
 
 #include "kernels/network.hpp"
+#include "sim/session.hpp"
 
 namespace vegeta::kernels {
 namespace {
@@ -25,6 +28,36 @@ tinyNetwork()
     return net;
 }
 
+/**
+ * The model's rows for both reference networks on a dense, a
+ * single-pattern and a flexible sparse engine (computed once).
+ */
+const sim::AnalyticalResult &
+policyRows()
+{
+    static const sim::AnalyticalResult result = [] {
+        const sim::Session session;
+        sim::AnalyticalRequest request;
+        request.model = "network-policy";
+        request.engines = {"VEGETA-D-1-2", "STC-like", "VEGETA-S-16-2"};
+        return session.analyze(request);
+    }();
+    return result;
+}
+
+/** The row index of (@p network, @p engine); fails when absent. */
+std::size_t
+rowOf(const std::string &network, const std::string &engine)
+{
+    const auto &result = policyRows();
+    for (std::size_t i = 0; i < result.rows.size(); ++i)
+        if (result.text(i, "network") == network &&
+            result.text(i, "engine") == engine)
+            return i;
+    ADD_FAILURE() << "no row for " << network << " on " << engine;
+    return 0;
+}
+
 TEST(Network, TotalMacsSumsLayers)
 {
     const auto net = tinyNetwork();
@@ -32,48 +65,43 @@ TEST(Network, TotalMacsSumsLayers)
               32ull * 32 * 256 + 32ull * 32 * 512);
 }
 
-TEST(Network, CyclesSumPerLayerMeasurements)
-{
-    const auto net = tinyNetwork();
-    const auto m = simulateNetwork(net, engine::vegetaS162(),
-                                   NetworkPolicy::LayerWise);
-    ASSERT_EQ(m.perLayer.size(), 2u);
-    EXPECT_EQ(m.totalCycles,
-              m.perLayer[0].coreCycles + m.perLayer[1].coreCycles);
-}
-
 TEST(Network, LayerWiseBeatsNetworkWiseOnFlexibleHw)
 {
-    const auto net = tinyNetwork(); // patterns 2:4 and 1:4
-    const auto lw = simulateNetwork(net, engine::vegetaS162(),
-                                    NetworkPolicy::LayerWise);
-    const auto nw = simulateNetwork(net, engine::vegetaS162(),
-                                    NetworkPolicy::NetworkWise);
-    // Network-wise must run the 1:4 layer at 2:4 (the densest layer).
-    EXPECT_LT(lw.totalCycles, nw.totalCycles);
-    EXPECT_EQ(nw.perLayer[1].executedN, 2u);
-    EXPECT_EQ(lw.perLayer[1].executedN, 1u);
+    // Network-wise runs every 1:4 layer at the network's densest
+    // pattern; VEGETA-S-16-2 would have run it faster at 1:4.
+    for (const char *net : {"ResNet50-front", "BERT-encoder"}) {
+        const std::size_t row = rowOf(net, "VEGETA-S-16-2");
+        const auto &result = policyRows();
+        EXPECT_LT(result.number(row, "layer_wise_cycles"),
+                  result.number(row, "network_wise_cycles"))
+            << net;
+        EXPECT_GT(result.number(row, "network_wise_slowdown"), 1.0)
+            << net;
+    }
 }
 
-TEST(Network, PoliciesEqualWhenPatternsUniform)
+TEST(Network, PoliciesEqualWhenHardwarePatternCoversMix)
 {
-    Network net = tinyNetwork();
-    net.layers[1].layerN = 2; // both layers 2:4
-    const auto lw = simulateNetwork(net, engine::vegetaS162(),
-                                    NetworkPolicy::LayerWise);
-    const auto nw = simulateNetwork(net, engine::vegetaS162(),
-                                    NetworkPolicy::NetworkWise);
-    EXPECT_EQ(lw.totalCycles, nw.totalCycles);
+    // STC-like executes 1:4 as 2:4, and BERT-encoder's densest layer
+    // is 2:4: both policies run the same N on every layer.
+    const std::size_t row = rowOf("BERT-encoder", "STC-like");
+    const auto &result = policyRows();
+    EXPECT_EQ(result.number(row, "layer_wise_cycles"),
+              result.number(row, "network_wise_cycles"));
+    EXPECT_EQ(result.number(row, "network_wise_slowdown"), 1.0);
 }
 
 TEST(Network, DenseEngineIndifferentToPolicy)
 {
-    const auto net = tinyNetwork();
-    const auto lw = simulateNetwork(net, engine::vegetaD12(),
-                                    NetworkPolicy::LayerWise);
-    const auto nw = simulateNetwork(net, engine::vegetaD12(),
-                                    NetworkPolicy::NetworkWise);
-    EXPECT_EQ(lw.totalCycles, nw.totalCycles);
+    for (const char *net : {"ResNet50-front", "BERT-encoder"}) {
+        const std::size_t row = rowOf(net, "VEGETA-D-1-2");
+        const auto &result = policyRows();
+        EXPECT_EQ(result.number(row, "layer_wise_cycles"),
+                  result.number(row, "network_wise_cycles"))
+            << net;
+        EXPECT_EQ(result.number(row, "network_wise_slowdown"), 1.0)
+            << net;
+    }
 }
 
 TEST(Network, ReferenceNetworksBuild)
@@ -84,17 +112,6 @@ TEST(Network, ReferenceNetworksBuild)
     EXPECT_EQ(bert.layers.size(), 5u);
     for (const auto &l : bert.layers)
         EXPECT_TRUE(l.layerN == 1 || l.layerN == 2 || l.layerN == 4);
-}
-
-TEST(Network, EmptyNetworkRejected)
-{
-    setLoggingThrows(true);
-    Network net;
-    net.name = "empty";
-    EXPECT_THROW(simulateNetwork(net, engine::vegetaS162(),
-                                 NetworkPolicy::LayerWise),
-                 std::logic_error);
-    setLoggingThrows(false);
 }
 
 } // namespace

@@ -287,7 +287,6 @@ TEST(ReplayFuzz, SteadyStateStreamsMatchCapturedChecksum)
     EXPECT_EQ(sum, 0x39cfe06d44c2c005ull)
         << "checksum " << sim::serial::hex16(sum);
 
-#ifndef VEGETA_NO_TELEMETRY
     // The divergences must land on running skips, not beside them:
     // a third of these ops were skipped when the skip landed.
     const telemetry::MetricsSnapshot after = telemetry::snapshot();
@@ -295,7 +294,6 @@ TEST(ReplayFuzz, SteadyStateStreamsMatchCapturedChecksum)
                         before.counter("replay.memo.ops");
     EXPECT_GE(static_cast<double>(skipped) / ops, 0.25)
         << skipped << " of " << ops << " ops skipped";
-#endif
 }
 
 } // namespace

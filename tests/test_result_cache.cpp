@@ -80,7 +80,7 @@ TEST(CacheKey, DistinguishesEveryRequestField)
 
 TEST(ResultCache, FindInsertAndStats)
 {
-    ResultCache cache(4);
+    ResultCache cache;
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_FALSE(cache.find("a").has_value());
 

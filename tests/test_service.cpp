@@ -27,6 +27,7 @@
 #include "sim/server.hpp"
 #include "sim/session.hpp"
 #include "sim/telemetry.hpp"
+#include "sim/tune.hpp"
 #include "sim/wire.hpp"
 
 namespace vegeta::sim {
@@ -152,11 +153,26 @@ TEST(Service, BatchIdenticalToLocalWithTracingEnabled)
     expectRemoteMatchesLocal(0, "traced-inproc");
     expectRemoteMatchesLocal(2, "traced-workers");
     telemetry::setTraceEnabled(false);
-#ifndef VEGETA_NO_TELEMETRY
     EXPECT_GT(telemetry::traceSpanCount("service.dispatch"), 0u)
         << "an armed service run must record dispatch spans";
-#endif
     telemetry::clearTrace();
+}
+
+TEST(Service, TunerConfirmsOnOneConnection)
+{
+    // Budget 4 replays in two rounds; both go over one connection,
+    // and the report credits every replay to the server.
+    ServerFixture fixture("tuneonce");
+    Session session;
+    TuneOptions options;
+    options.budget.replays = 4;
+    options.connectAddress = fixture.options.socketPath;
+    const TuneReport report =
+        Tuner(session, options)
+            .run(TuneSpace::full(session, {"quick-small"}));
+    EXPECT_EQ(report.replayedPoints, 4u);
+    EXPECT_EQ(report.serverReplays, 4u);
+    EXPECT_EQ(fixture.server->stats().connections, 1u);
 }
 
 TEST(Service, StatsFrameReportsLiveState)

@@ -62,8 +62,7 @@ TEST(StreamingReplay, StepMatchesBatchAcrossClockDividers)
 
 TEST(StreamingReplay, StepMatchesBatchOnVectorTrace)
 {
-    const auto trace =
-        kernels::generateVectorGemmTrace({32, 64, 128}, {});
+    const auto trace = kernels::generateVectorGemmTrace({32, 64, 128});
     TraceCpu cpu({}, engine::vegetaD12());
     const SimResult batch = cpu.run(trace);
     expectIdentical(stepAll(cpu, trace), batch);
@@ -112,11 +111,9 @@ TEST(StreamingReplay, SkippingCpuIsReusableAcrossStreams)
         expectIdentical(results[i],
                         fresh.run(i % 2 == 0 ? dense : cut));
     }
-#ifndef VEGETA_NO_TELEMETRY
     EXPECT_GT(after.counter("replay.memo.ops"),
               before.counter("replay.memo.ops"))
         << "the streams no longer engage the skip";
-#endif
 }
 
 TEST(StreamingReplay, KernelEmitsIdenticalStreamIntoSink)

@@ -1,13 +1,8 @@
 /**
  * @file
  * vegeta::telemetry unit coverage: cross-thread counter merging,
- * timer statistics, snapshot absorption, span lifetimes (nesting,
- * early close, exception unwinding), and the two JSON serializers.
- *
- * Every test also compiles under VEGETA_NO_TELEMETRY -- the
- * recording API is then a no-op, so assertions on recorded values
- * are guarded while the API surface itself stays exercised (that a
- * no-telemetry build compiles this file IS the test).
+ * timer statistics, span lifetimes (nesting, early close, exception
+ * unwinding), and the two JSON serializers.
  */
 
 #include <gtest/gtest.h>
@@ -37,14 +32,10 @@ TEST(Telemetry, CountersMergeAcrossThreads)
         });
     for (auto &thread : threads)
         thread.join();
-#ifndef VEGETA_NO_TELEMETRY
     // Every per-thread slab (all retired by join) merges into one
     // record.
     EXPECT_EQ(snapshot().counter("test.threads.counter"),
               kThreads * kAddsPerThread * 3);
-#else
-    EXPECT_EQ(snapshot().counter("test.threads.counter"), 0u);
-#endif
 }
 
 TEST(Telemetry, TimerTracksCountSumMinMax)
@@ -54,7 +45,6 @@ TEST(Telemetry, TimerTracksCountSumMinMax)
     recordNs(id, 10);
     recordNs(id, 5);
     recordNs(id, 15);
-#ifndef VEGETA_NO_TELEMETRY
     const MetricsSnapshot snap = snapshot();
     const MetricRecord *record = snap.find("test.timer");
     ASSERT_NE(record, nullptr);
@@ -63,43 +53,6 @@ TEST(Telemetry, TimerTracksCountSumMinMax)
     EXPECT_EQ(record->sumNs, 30u);
     EXPECT_EQ(record->minNs, 5u);
     EXPECT_EQ(record->maxNs, 15u);
-#else
-    EXPECT_EQ(snapshot().find("test.timer"), nullptr);
-#endif
-}
-
-TEST(Telemetry, AbsorbFoldsExternalSnapshots)
-{
-    resetMetrics();
-    static const MetricId counter = counterId("test.absorb.counter");
-    static const MetricId timer = timerId("test.absorb.timer");
-    add(counter, 5);
-    recordNs(timer, 20);
-
-    // A worker's shipped snapshot: the known counter, a widening
-    // timer sample, and a name this process never recorded.
-    std::vector<MetricRecord> external;
-    external.push_back(
-        {"test.absorb.counter", MetricKind::Counter, 7, 0, 0, 0});
-    external.push_back(
-        {"test.absorb.timer", MetricKind::Timer, 2, 60, 10, 50});
-    external.push_back(
-        {"test.absorb.fresh", MetricKind::Counter, 11, 0, 0, 0});
-    absorb(external);
-
-#ifndef VEGETA_NO_TELEMETRY
-    const MetricsSnapshot snap = snapshot();
-    EXPECT_EQ(snap.counter("test.absorb.counter"), 12u);
-    EXPECT_EQ(snap.counter("test.absorb.fresh"), 11u);
-    const MetricRecord *record = snap.find("test.absorb.timer");
-    ASSERT_NE(record, nullptr);
-    EXPECT_EQ(record->count, 3u);
-    EXPECT_EQ(record->sumNs, 80u);
-    EXPECT_EQ(record->minNs, 10u);
-    EXPECT_EQ(record->maxNs, 50u);
-#else
-    EXPECT_TRUE(snapshot().metrics.empty());
-#endif
 }
 
 TEST(Telemetry, SpansNestAndCloseUnderExceptions)
@@ -116,13 +69,9 @@ TEST(Telemetry, SpansNestAndCloseUnderExceptions)
         // The outer span must have been closed by unwinding.
     }
     setTraceEnabled(false);
-#ifndef VEGETA_NO_TELEMETRY
     EXPECT_EQ(traceSpanCount("test.span.outer"), 1u);
     EXPECT_EQ(traceSpanCount("test.span.inner"), 1u);
     EXPECT_EQ(traceSpanCount(), 2u);
-#else
-    EXPECT_EQ(traceSpanCount(), 0u);
-#endif
     clearTrace();
 }
 
@@ -136,9 +85,7 @@ TEST(Telemetry, SpanCloseIsIdempotent)
         span.close(); // second close and the destructor are no-ops
     }
     setTraceEnabled(false);
-#ifndef VEGETA_NO_TELEMETRY
     EXPECT_EQ(traceSpanCount("test.span.early"), 1u);
-#endif
     clearTrace();
 }
 
@@ -168,13 +115,11 @@ TEST(Telemetry, TraceJsonContainsRecordedSpanNames)
     // Chrome trace_event envelope with complete ("X") events.
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_EQ(json.front(), '{');
-#ifndef VEGETA_NO_TELEMETRY
     EXPECT_NE(json.find("\"name\": \"test.json.span\""),
               std::string::npos);
     EXPECT_NE(json.find("\"name\": \"test.json.other\""),
               std::string::npos);
     EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
-#endif
     clearTrace();
 }
 
@@ -187,7 +132,6 @@ TEST(Telemetry, MetricsJsonListsCountersAndTimers)
     writeMetricsJson(os, snapshot());
     const std::string json = os.str();
     EXPECT_NE(json.find("\"metrics\""), std::string::npos);
-#ifndef VEGETA_NO_TELEMETRY
     EXPECT_NE(json.find("\"name\": \"test.json.counter\""),
               std::string::npos);
     EXPECT_NE(json.find("\"kind\": \"counter\", \"value\": 9"),
@@ -195,7 +139,6 @@ TEST(Telemetry, MetricsJsonListsCountersAndTimers)
     EXPECT_NE(json.find("\"name\": \"test.json.timer\""),
               std::string::npos);
     EXPECT_NE(json.find("\"kind\": \"timer\""), std::string::npos);
-#endif
 }
 
 TEST(Telemetry, SnapshotIsSortedByName)

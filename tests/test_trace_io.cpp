@@ -403,15 +403,11 @@ TEST(TraceIo, CountsEachStreamOnce)
     const std::string bytes = bytesOf(trace);
     std::istringstream is(bytes);
     ASSERT_TRUE(readTrace(is).has_value());
-#ifndef VEGETA_NO_TELEMETRY
     const telemetry::MetricsSnapshot snap = telemetry::snapshot();
     EXPECT_EQ(snap.counter("trace_io.write.ops"), trace.size());
     EXPECT_EQ(snap.counter("trace_io.write.bytes"), bytes.size());
     EXPECT_EQ(snap.counter("trace_io.read.ops"), trace.size());
     EXPECT_EQ(snap.counter("trace_io.read.bytes"), bytes.size());
-#else
-    EXPECT_EQ(telemetry::snapshot().counter("trace_io.read.ops"), 0u);
-#endif
 }
 
 } // namespace

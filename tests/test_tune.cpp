@@ -6,9 +6,9 @@
  * conservative (they never reject a configuration the Figure 13 /
  * Table IV evaluation actually runs), budgets are strictly honored,
  * a repeated axis entry spends no replay twice, the report is
- * bit-identical across thread counts and cache states, and the
- * two-round search finds the full-replay optimum on the figure13
- * space and on ResNet50-L3's full space at budget 8.
+ * bit-identical across thread counts, cache states and an unreachable
+ * service, and the two-round search finds the full-replay optimum on
+ * the figure13 space and on ResNet50-L3's full space at budget 8.
  */
 
 #include <gtest/gtest.h>
@@ -289,6 +289,37 @@ TEST(Tuner, BudgetEightReachesResNet50L3Optimum)
     ASSERT_NE(report.best(), nullptr);
     EXPECT_EQ(report.best()->measuredCoreCycles,
               truth.best()->measuredCoreCycles);
+}
+
+TEST(Tuner, UnreachableServiceWarnsOnceAndReplaysLocally)
+{
+    // Budget 4 replays in two rounds.  A search connects once for
+    // both: an unreachable service costs one warning, every replay
+    // runs locally, and the report bytes match a local search.
+    Session session;
+    session.enableCache();
+    const auto space = TuneSpace::full(session, {"quick-small"});
+    TuneOptions options;
+    options.budget.replays = 4;
+    options.threads = 1;
+    const TuneReport local = Tuner(session, options).run(space);
+    EXPECT_EQ(local.serverReplays, 0u);
+
+    // A malformed address fails at once, without a connect window.
+    options.connectAddress = "tcp:no-port";
+    ::testing::internal::CaptureStderr();
+    const TuneReport fallback = Tuner(session, options).run(space);
+    const std::string warnings =
+        ::testing::internal::GetCapturedStderr();
+    std::size_t count = 0;
+    for (auto at = warnings.find("unavailable");
+         at != std::string::npos;
+         at = warnings.find("unavailable", at + 1))
+        ++count;
+    EXPECT_EQ(count, 1u) << warnings;
+    EXPECT_EQ(fallback.replayedPoints, 4u);
+    EXPECT_EQ(fallback.serverReplays, 0u);
+    EXPECT_EQ(reportJson(fallback), reportJson(local));
 }
 
 TEST(Tuner, ParetoFrontIsSortedAndNonDominated)

@@ -240,7 +240,6 @@ TEST(WorkerSet, KilledWorkerIsDroppedAndItsKeysDealtAgain)
         EXPECT_FALSE(worker.alive);
 }
 
-#ifndef VEGETA_NO_TELEMETRY
 TEST(WorkerSet, StatusKeepsEachWorkersLatestSnapshot)
 {
     // The parent has counted batches of its own before the fork; the
@@ -262,7 +261,6 @@ TEST(WorkerSet, StatusKeepsEachWorkersLatestSnapshot)
                 jobs_counted += metric.count;
     EXPECT_EQ(jobs_counted, 2 * (jobs.size() - 1));
 }
-#endif
 
 } // namespace
 } // namespace vegeta::sim
